@@ -21,11 +21,8 @@ from .sequences import (
     NotCoprimeError,
     _doubled_word,
     _mask,
-    _rotated,
-    decimate,
     negate,
     nega_decimate,
-    parker_double,
 )
 
 __all__ = [
@@ -104,22 +101,75 @@ def _unit_range(two_n: int):
             yield d
 
 
-def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness | None:
-    """Exhaustive search over all witnesses (d, t); returns the
-    lexicographically smallest one mapping s to s_prime, or None."""
+def _check_periods(s: BinarySequence, s_prime: BinarySequence) -> None:
     if s.period != s_prime.period:
         raise ValueError(
             f"periods differ: {s.period} != {s_prime.period}"
         )
-    n = s.period
-    two_n = 2 * n
-    u = parker_double(s)
-    target = _doubled_word(s_prime)
+
+
+def _bit_text(word: int, n: int) -> str:
+    # '0'/'1' text of an n-bit word; character i is bit i
+    return format(word, f"0{n}b")[::-1]
+
+
+def _doubled_profile(u: int, two_n: int) -> list[int]:
+    """PACF of the doubled word ``u`` at every shift tau in Z_{2N}.
+
+    u(i + N) = u(i) + 1, so the second half is the first half negated.
+    """
+    uu = u | (u << two_n)
+    mask = _mask(two_n)
+    half = [
+        two_n - 2 * (u ^ ((uu >> tau) & mask)).bit_count()
+        for tau in range(two_n // 2)
+    ]
+    return half + [-value for value in half]
+
+
+def _smallest_shift(text: str, target: str, d: int, two_n: int) -> int | None:
+    """Smallest t = d*r mod 2N over the rotations r < 2N of ``text`` that
+    equal ``target``; r order is not t order, so every match is visited."""
+    haystack = text + text
+    end = 2 * two_n - 1
+    best = None
+    r = haystack.find(target, 0, end)
+    while r >= 0:
+        t = d * r % two_n
+        if best is None or t < best:
+            best = t
+        r = haystack.find(target, r + 1, end)
+    return best
+
+
+def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness | None:
+    """Lexicographically smallest witness (d, t) mapping s to s_prime, or None.
+
+    The search is complete over d in Z*_{2N}, t in Z_{2N}, and pruned by an
+    invariant of the doubled sequences u and v: a witness (d, t) forces
+    PACF_v(tau) = PACF_u(d*tau mod 2N) whatever t is.  Unequal profile
+    multisets give None at once, and a unit d is rejected at the first
+    shift that breaks the invariant; checking tau < N suffices, since
+    p[tau + N] = -p[tau] for both profiles and d*N = N (mod 2N) for odd d.
+    For each d left, every t comes from a substring search of v among the
+    rotations of u decimated by d.
+    """
+    _check_periods(s, s_prime)
+    two_n = 2 * s.period
+    u, v = _doubled_word(s), _doubled_word(s_prime)
+    pu, pv = _doubled_profile(u, two_n), _doubled_profile(v, two_n)
+    if sorted(pu) != sorted(pv):
+        return None
+    text = _bit_text(u, two_n)
+    target = _bit_text(v, two_n)
     for d in _unit_range(two_n):
-        decimated = decimate(u, d).word
-        d_inv = pow(d, -1, two_n)
-        for t in range(two_n):
-            if _rotated(decimated, two_n, d_inv * t % two_n) == target:
+        for tau in range(1, two_n // 2):
+            if pv[tau] != pu[d * tau % two_n]:
+                break
+        else:
+            decimated = "".join([text[d * i % two_n] for i in range(two_n)])
+            t = _smallest_shift(decimated, target, d, two_n)
+            if t is not None:
                 return AffineWitness(d, t)
     return None
 
@@ -127,16 +177,11 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
 def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence) -> bool:
     """True iff some witness with d = 1 maps s to s_prime, i.e. s_prime lies
     in the orbit of s under negation and nega-cyclic shifts alone."""
-    if s.period != s_prime.period:
-        raise ValueError(
-            f"periods differ: {s.period} != {s_prime.period}"
-        )
-    n = s.period
-    u = _doubled_word(s)
-    low = _mask(n)
-    return any(
-        _rotated(u, 2 * n, t) & low == s_prime.word for t in range(2 * n)
-    )
+    _check_periods(s, s_prime)
+    two_n = 2 * s.period
+    text = _bit_text(_doubled_word(s), two_n)
+    target = _bit_text(_doubled_word(s_prime), two_n)
+    return _smallest_shift(text, target, 1, two_n) is not None
 
 
 @dataclass
@@ -175,9 +220,16 @@ def classify(labeled) -> list[EquivalenceClass]:
             raise ValueError(
                 f"mixed periods: {label!r} has period {seq.period}, expected {period}"
             )
-    classes: list[tuple[BinarySequence, EquivalenceClass]] = []
+    two_n = 2 * period
+    # each sequence's sorted profile is computed once; a representative
+    # whose sorted profile differs cannot be equivalent and is skipped
+    # without a search
+    classes: list[tuple[BinarySequence, list[int], EquivalenceClass]] = []
     for label, seq in items:
-        for rep_seq, cls in classes:
+        key = sorted(_doubled_profile(_doubled_word(seq), two_n))
+        for rep_seq, rep_key, cls in classes:
+            if rep_key != key:
+                continue
             witness = oacf_equivalent(rep_seq, seq)
             if witness is not None:
                 cls.members += (label,)
@@ -185,9 +237,9 @@ def classify(labeled) -> list[EquivalenceClass]:
                 break
         else:
             classes.append(
-                (seq, EquivalenceClass(label, (label,), {label: AffineWitness(1, 0)}))
+                (seq, key, EquivalenceClass(label, (label,), {label: AffineWitness(1, 0)}))
             )
-    return [cls for _, cls in classes]
+    return [cls for _, _, cls in classes]
 
 
 # (row, source index, target index, printed alpha exponent, negate source first)

@@ -1,11 +1,15 @@
-"""Straightforward elementwise reference implementations.
+"""Straightforward reference implementations.
 
-Every function here works on plain bit lists with explicit index arithmetic,
-independent of the package's bit-packed kernels, so the two paths can be
-checked against each other.
+Every function here but the last works on plain bit lists with explicit
+index arithmetic, independent of the package's bit-packed kernels, so the
+two paths can be checked against each other.  ``oacf_equivalent_reference``
+is the package's former unpruned witness search, kept as the differential
+oracle of the pruned one.
 """
 
 import math
+
+from oacf.sequences import _doubled_word, _rotated, decimate, parker_double
 
 
 def _sign(exponent: int) -> int:
@@ -66,5 +70,32 @@ def oacf_equivalent_naive(bits: list[int], target: list[int]) -> tuple[int, int]
             continue
         for t in range(two_n):
             if apply_witness_naive(bits, d, t) == target:
+                return d, t
+    return None
+
+
+def _unit_range(two_n: int):
+    # d must be odd; remaining coprimality checked against two_n
+    for d in range(1, two_n, 2):
+        if math.gcd(d, two_n) == 1:
+            yield d
+
+
+def oacf_equivalent_reference(s, s_prime) -> tuple[int, int] | None:
+    """Exhaustive search over all witnesses (d, t) on the bit-packed words;
+    returns the lexicographically smallest one mapping s to s_prime, or None."""
+    if s.period != s_prime.period:
+        raise ValueError(
+            f"periods differ: {s.period} != {s_prime.period}"
+        )
+    n = s.period
+    two_n = 2 * n
+    u = parker_double(s)
+    target = _doubled_word(s_prime)
+    for d in _unit_range(two_n):
+        decimated = decimate(u, d).word
+        d_inv = pow(d, -1, two_n)
+        for t in range(two_n):
+            if _rotated(decimated, two_n, d_inv * t % two_n) == target:
                 return d, t
     return None

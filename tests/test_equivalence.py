@@ -12,6 +12,7 @@ from oacf import (
     classify,
     compose,
     construct_in,
+    is_applicable,
     nega_cyclic_shift,
     nega_decimate,
     negate,
@@ -25,6 +26,7 @@ from oacf import (
 )
 
 import goldens
+import oracle
 
 
 def seq(text):
@@ -164,6 +166,115 @@ class TestWitnessSearch:
             checked += 1
 
 
+def as_pair(witness):
+    return None if witness is None else (witness.d, witness.t)
+
+
+def parker_family(p):
+    system = build_system(p)
+    return {
+        f"s{i:02d}": construct_in(system, i)[0]
+        for i in range(1, 17)
+        if is_applicable(i, p)
+    }
+
+
+class TestPrunedSearch:
+    """The pruned search against the former unpruned one, kept in
+    ``oracle.oacf_equivalent_reference``."""
+
+    def test_matches_reference_on_every_pair_up_to_7(self):
+        for n in range(1, 8):
+            seqs = [BinarySequence(word, n) for word in range(1 << n)]
+            for a in seqs:
+                for b in seqs:
+                    assert as_pair(oacf_equivalent(a, b)) == oracle.oacf_equivalent_reference(a, b)
+
+    def test_matches_elementwise_oracle_up_to_5(self):
+        for n in range(1, 6):
+            seqs = [BinarySequence(word, n) for word in range(1 << n)]
+            for a in seqs:
+                for b in seqs:
+                    assert as_pair(oacf_equivalent(a, b)) == oracle.oacf_equivalent_naive(
+                        a.bits(), b.bits()
+                    )
+
+    @pytest.mark.parametrize("p", [13, 29, 37, 53])
+    def test_seeded_hits_at_4p(self, p):
+        rng = random.Random(p)
+        n = 4 * p
+        family = parker_family(p)
+        sources = [random_sequence(rng, n), family["s06"], family["s09"]]
+        for s in sources:
+            w = AffineWitness(random_unit(rng, 2 * n), rng.randrange(2 * n))
+            target = apply_witness(w, s)
+            found = oacf_equivalent(s, target)
+            assert as_pair(found) == oracle.oacf_equivalent_reference(s, target)
+            assert found <= w
+
+    @pytest.mark.parametrize("p", [13, 29, 37, 53])
+    def test_seeded_misses_at_4p(self, p):
+        # at p = 13, s06 and s09 share their sorted profile and twelve units
+        # d pass the per-d check, so only the substring search rejects them;
+        # the other pairs, and s06/s09 at larger p, fail the multiset check
+        rng = random.Random(p)
+        n = 4 * p
+        family = parker_family(p)
+        pairs = [
+            (family["s06"], family["s09"]),
+            (family["s05"], family["s10"]),
+            (random_sequence(rng, n), random_sequence(rng, n)),
+        ]
+        for a, b in pairs:
+            assert oacf_equivalent(a, b) is None
+            assert oracle.oacf_equivalent_reference(a, b) is None
+
+    def test_profile_lemma(self):
+        # a witness (d, t) forces PACF_v(tau) = PACF_u(d*tau mod 2N) for
+        # the doubled sequences u of s and v of its image, whatever t is
+        rng = random.Random(41)
+        for _ in range(20):
+            n = rng.randrange(1, 40)
+            s = random_sequence(rng, n)
+            d, t = random_unit(rng, 2 * n), rng.randrange(2 * n)
+            u = parker_double(s).bits()
+            v = parker_double(apply_witness(AffineWitness(d, t), s)).bits()
+            for tau in range(2 * n):
+                assert oracle.pacf_naive(v, tau) == oracle.pacf_naive(u, d * tau % (2 * n))
+
+    def test_smallest_t_among_several_matches(self):
+        # three rotations match for d = 5, at t = 11, 3, 19 in rotation
+        # order; the contract asks for the smallest t
+        s = seq("000011110000")
+        target = apply_witness(AffineWitness(19, 0), s)
+        assert target == seq("001011010010")
+        matches = [
+            t for t in range(24)
+            if oracle.apply_witness_naive(s.bits(), 5, t) == target.bits()
+        ]
+        assert matches == [3, 11, 19]
+        assert oacf_equivalent(s, target) == AffineWitness(5, 3)
+        assert oracle.oacf_equivalent_reference(s, target) == (5, 3)
+
+    @pytest.mark.parametrize("p", [13, 29, 37])
+    def test_classify_matches_reference_loop(self, p):
+        labeled = parker_family(p)
+        expected: list[tuple[str, list[tuple[str, tuple[int, int]]]]] = []
+        for label, s in sorted(labeled.items()):
+            for rep, members in expected:
+                witness = oracle.oacf_equivalent_reference(labeled[rep], s)
+                if witness is not None:
+                    members.append((label, witness))
+                    break
+            else:
+                expected.append((label, [(label, (1, 0))]))
+        actual = [
+            (cls.representative, [(m, as_pair(cls.witnesses[m])) for m in cls.members])
+            for cls in classify(labeled)
+        ]
+        assert actual == expected
+
+
 class TestShiftNegationOrbit:
     def test_period31_pair_unreachable(self):
         assert not reachable_without_negadecimation(
@@ -175,6 +286,21 @@ class TestShiftNegationOrbit:
         for _ in range(10):
             s = random_sequence(rng, rng.randrange(1, 40))
             assert reachable_without_negadecimation(s, negate(s))
+
+    def test_matches_d1_brute_force(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            n = rng.randrange(1, 65)
+            s = random_sequence(rng, n)
+            if rng.random() < 0.5:
+                target = apply_witness(AffineWitness(1, rng.randrange(2 * n)), s)
+            else:
+                target = random_sequence(rng, n)
+            expected = any(
+                oracle.apply_witness_naive(s.bits(), 1, t) == target.bits()
+                for t in range(2 * n)
+            )
+            assert reachable_without_negadecimation(s, target) == expected
 
     def test_nega_shift_reachable(self):
         rng = random.Random(39)
