@@ -83,7 +83,7 @@ def _cmd_oacf(args) -> int:
         lines = (dist.multiset_notation(),)
     else:
         payload["values"] = list(profile.values)
-        lines = (" ".join(str(v) for v in profile.values),)
+        lines = (" ".join(map(str, profile.values)),)
     OutputEnvelope("json" if args.json else "text", payload, lines).emit()
     return EXIT_OK
 
@@ -108,13 +108,9 @@ def _cmd_apply(args) -> int:
         result = op(seq, args.param) if needs_param else op(seq)
     except (SequenceParseError, NotCoprimeError, ValueError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    payload = {
-        "op": args.op,
-        "input": str(seq),
-        "param": args.param,
-        "result": str(result),
-    }
-    OutputEnvelope("json" if args.json else "text", payload, (str(result),)).emit()
+    text = str(result)
+    payload = {"op": args.op, "input": str(seq), "param": args.param, "result": text}
+    OutputEnvelope("json" if args.json else "text", payload, (text,)).emit()
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ accepting a uniform sign flip of y (the tables fix no sign convention).
 from dataclasses import dataclass
 
 from .cyclotomy import CyclotomicSystem, build_system, cset, complement_cset_index
-from .sequences import BinarySequence, oacf, try_parker_split
+from .sequences import BinarySequence, oacf_distribution, try_parker_split
 
 __all__ = [
     "ConstructionSpec",
@@ -269,8 +269,7 @@ def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationRe
     system = build_system(p, alpha)
     spec = construction_spec(index)
     s, _ = construct_in(system, index)
-    n = s.period
-    computed = tuple(sorted({oacf(s, t) for t in range(1, n)}))
+    computed = tuple(oacf_distribution(s, include_zero_shift=False).entries)
     plus = _instantiate(spec.value_terms, system.x, system.y)
     minus = _instantiate(spec.value_terms, system.x, -system.y)
     full_size = 2 * len(spec.value_terms) - 1  # 0 contributes one value

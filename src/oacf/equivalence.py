@@ -19,8 +19,10 @@ from .cyclotomy import build_system
 from .sequences import (
     BinarySequence,
     NotCoprimeError,
+    _affine_image,
+    _bit_text,
+    _correlations,
     _doubled_word,
-    _mask,
     negate,
     nega_decimate,
 )
@@ -72,18 +74,12 @@ def apply_witness(w: AffineWitness, s: BinarySequence) -> BinarySequence:
     """s'(i) = u(d*i + t mod 2N) with u = s || (s + 1)."""
     n = s.period
     two_n = 2 * n
-    d = w.d % two_n
-    t = w.t % two_n
-    if math.gcd(d, two_n) != 1:
+    if math.gcd(w.d, two_n) != 1:
         raise NotCoprimeError(
-            f"gcd(d={w.d}, 2N={two_n}) = {math.gcd(d, two_n)}; "
+            f"gcd(d={w.d}, 2N={two_n}) = {math.gcd(w.d, two_n)}; "
             "witnesses require gcd(d, 2N) = 1"
         )
-    u = _doubled_word(s)
-    word = 0
-    for i in range(n):
-        word |= ((u >> ((d * i + t) % two_n)) & 1) << i
-    return BinarySequence(word, n)
+    return BinarySequence(_affine_image(_doubled_word(s), two_n, w.d, w.t, n), n)
 
 
 def compose(first: AffineWitness, second: AffineWitness, period: int) -> AffineWitness:
@@ -108,22 +104,13 @@ def _check_periods(s: BinarySequence, s_prime: BinarySequence) -> None:
         )
 
 
-def _bit_text(word: int, n: int) -> str:
-    # '0'/'1' text of an n-bit word; character i is bit i
-    return format(word, f"0{n}b")[::-1]
+def _doubled_profile(s: BinarySequence) -> list[int]:
+    """PACF of the doubled sequence u = s || (s + 1) at every shift in Z_{2N}.
 
-
-def _doubled_profile(u: int, two_n: int) -> list[int]:
-    """PACF of the doubled word ``u`` at every shift tau in Z_{2N}.
-
-    u(i + N) = u(i) + 1, so the second half is the first half negated.
+    The first half is twice the OACF of s; u(i + N) = u(i) + 1, so the
+    second half is the first half negated.
     """
-    uu = u | (u << two_n)
-    mask = _mask(two_n)
-    half = [
-        two_n - 2 * (u ^ ((uu >> tau) & mask)).bit_count()
-        for tau in range(two_n // 2)
-    ]
+    half = [2 * value for value in _correlations(s.word, s.period, -1)]
     return half + [-value for value in half]
 
 
@@ -157,17 +144,16 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     _check_periods(s, s_prime)
     two_n = 2 * s.period
     u, v = _doubled_word(s), _doubled_word(s_prime)
-    pu, pv = _doubled_profile(u, two_n), _doubled_profile(v, two_n)
+    pu, pv = _doubled_profile(s), _doubled_profile(s_prime)
     if sorted(pu) != sorted(pv):
         return None
-    text = _bit_text(u, two_n)
     target = _bit_text(v, two_n)
     for d in _unit_range(two_n):
         for tau in range(1, two_n // 2):
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
-            decimated = "".join([text[d * i % two_n] for i in range(two_n)])
+            decimated = _bit_text(_affine_image(u, two_n, d, 0, two_n), two_n)
             t = _smallest_shift(decimated, target, d, two_n)
             if t is not None:
                 return AffineWitness(d, t)
@@ -220,13 +206,12 @@ def classify(labeled) -> list[EquivalenceClass]:
             raise ValueError(
                 f"mixed periods: {label!r} has period {seq.period}, expected {period}"
             )
-    two_n = 2 * period
     # each sequence's sorted profile is computed once; a representative
     # whose sorted profile differs cannot be equivalent and is skipped
     # without a search
     classes: list[tuple[BinarySequence, list[int], EquivalenceClass]] = []
     for label, seq in items:
-        key = sorted(_doubled_profile(_doubled_word(seq), two_n))
+        key = sorted(_doubled_profile(seq))
         for rep_seq, rep_key, cls in classes:
             if rep_key != key:
                 continue

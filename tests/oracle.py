@@ -1,15 +1,46 @@
 """Straightforward reference implementations.
 
-Every function here but the last works on plain bit lists with explicit
-index arithmetic, independent of the package's bit-packed kernels, so the
-two paths can be checked against each other.  ``oacf_equivalent_reference``
-is the package's former unpruned witness search, kept as the differential
-oracle of the pruned one.
+The ``*_naive`` functions work on plain bit lists with explicit index
+arithmetic, independent of the package's bit-packed kernels, so the two
+paths can be checked against each other.  The rest are the package's former
+implementations, kept as differential oracles of the faster ones:
+``from_string_reference`` is the per-character parser,
+``_decimate_word`` the per-bit decimation loop, and
+``oacf_equivalent_reference`` the unpruned witness search.
 """
 
 import math
 
-from oacf.sequences import _doubled_word, _rotated, decimate, parker_double
+from oacf.sequences import (
+    BinarySequence,
+    SequenceParseError,
+    _doubled_word,
+    _rotated,
+)
+
+_SEPARATORS = " \t\r\n,"
+
+
+def from_string_reference(text: str) -> BinarySequence:
+    """Parse a '0'/'1' literal one character at a time; whitespace and
+    commas are ignored."""
+    word = 0
+    n = 0
+    for pos, ch in enumerate(text):
+        if ch == "1":
+            word |= 1 << n
+            n += 1
+        elif ch == "0":
+            n += 1
+        elif ch in _SEPARATORS:
+            continue
+        else:
+            raise SequenceParseError(
+                f"invalid character {ch!r} at position {pos}", pos
+            )
+    if n == 0:
+        raise SequenceParseError("empty sequence literal", 0)
+    return BinarySequence(word, n)
 
 
 def _sign(exponent: int) -> int:
@@ -74,6 +105,14 @@ def oacf_equivalent_naive(bits: list[int], target: list[int]) -> tuple[int, int]
     return None
 
 
+def _decimate_word(word: int, n: int, d: int) -> int:
+    # bit i of the result is bit d*i mod n of the n-bit word
+    out = 0
+    for i in range(n):
+        out |= ((word >> (d * i % n)) & 1) << i
+    return out
+
+
 def _unit_range(two_n: int):
     # d must be odd; remaining coprimality checked against two_n
     for d in range(1, two_n, 2):
@@ -90,10 +129,10 @@ def oacf_equivalent_reference(s, s_prime) -> tuple[int, int] | None:
         )
     n = s.period
     two_n = 2 * n
-    u = parker_double(s)
+    u = _doubled_word(s)
     target = _doubled_word(s_prime)
     for d in _unit_range(two_n):
-        decimated = decimate(u, d).word
+        decimated = _decimate_word(u, two_n, d)
         d_inv = pow(d, -1, two_n)
         for t in range(two_n):
             if _rotated(decimated, two_n, d_inv * t % two_n) == target:

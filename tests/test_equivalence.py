@@ -24,6 +24,7 @@ from oacf import (
     try_parker_split,
     verify_table4,
 )
+from oacf.equivalence import _doubled_profile
 
 import goldens
 import oracle
@@ -241,6 +242,14 @@ class TestPrunedSearch:
             v = parker_double(apply_witness(AffineWitness(d, t), s)).bits()
             for tau in range(2 * n):
                 assert oracle.pacf_naive(v, tau) == oracle.pacf_naive(u, d * tau % (2 * n))
+
+    def test_doubled_profile_matches_naive(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randrange(1, 65)
+            s = random_sequence(rng, n)
+            u = parker_double(s).bits()
+            assert _doubled_profile(s) == [oracle.pacf_naive(u, tau) for tau in range(2 * n)]
 
     def test_smallest_t_among_several_matches(self):
         # three rotations match for d = 5, at t = 11, 3, 19 in rotation

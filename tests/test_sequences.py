@@ -1,11 +1,15 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from oacf import (
+    AffineWitness,
     BinarySequence,
     NotCoprimeError,
     SequenceParseError,
+    apply_witness,
     cyclic_shift,
     decimate,
     is_odd_optimal,
@@ -326,3 +330,114 @@ class TestInvariants:
         a = oacf_distribution(seq(goldens.PAIR10_A))
         b = oacf_distribution(seq(goldens.PAIR10_B))
         assert a != b
+
+
+def _parse_outcome(parse, text):
+    # (word, period) of a parsed literal, or (type, message, position) of
+    # the error it raised
+    try:
+        s = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return s.word, s.period
+
+
+def _unit(rng, modulus):
+    # a random d with gcd(d, modulus) = 1, drawn from a range wider than the
+    # modulus and of either sign
+    while True:
+        d = rng.randrange(-3 * modulus, 3 * modulus)
+        if math.gcd(d, modulus) == 1:
+            return d
+
+
+class TestKernelsAgainstOracle:
+    """The linear-time text I/O and the single-pass correlation and affine
+    kernels against the per-bit references in ``tests/oracle.py``."""
+
+    PARSE_CASES = (
+        "", " ", " , \t\r\n", "0", "1", " 0101 ", "\n1,0\t1\r", "1_0", "_10",
+        "+101", "-101", "٣", "10٣", "0b101", "1 0\u00a01", "10\v1", "10\f",
+        "1.0", "10e", "１0",
+    )
+
+    def test_from_string_matches_reference_on_edge_cases(self):
+        for text in self.PARSE_CASES:
+            assert _parse_outcome(BinarySequence.from_string, text) == _parse_outcome(
+                oracle.from_string_reference, text
+            ), repr(text)
+
+    def test_from_string_matches_reference_on_seeded_literals(self):
+        rng = random.Random(61)
+        alphabet = "01" * 4 + " \t\r\n,"
+        for _ in range(300):
+            chars = [rng.choice(alphabet) for _ in range(rng.randrange(0, 300))]
+            if rng.random() < 0.6:
+                bad = rng.choice("_+-٣x2 ")
+                chars.insert(rng.randrange(len(chars) + 1), bad)
+            text = "".join(chars)
+            assert _parse_outcome(BinarySequence.from_string, text) == _parse_outcome(
+                oracle.from_string_reference, text
+            ), repr(text)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4096])
+    def test_text_round_trip(self, n):
+        rng = random.Random(n)
+        for word in (0, (1 << n) - 1, 1, 1 << (n - 1), rng.getrandbits(n)):
+            s = BinarySequence(word, n)
+            text = str(s)
+            assert text == "".join(str((word >> i) & 1) for i in range(n))
+            assert s.bits() == [(word >> i) & 1 for i in range(n)]
+            assert BinarySequence.from_string(text) == s
+            assert oracle.from_string_reference(text) == s
+            assert BinarySequence.from_bits(s.bits()) == s
+
+    def test_profiles_match_naive(self):
+        rng = random.Random(62)
+        for _ in range(60):
+            n = rng.randrange(1, 65)
+            s = random_sequence(rng, n)
+            bits = s.bits()
+            expected_oacf = tuple(oracle.oacf_naive(bits, t) for t in range(n))
+            assert oacf_profile(s).values == expected_oacf
+            assert pacf_profile(s).values == tuple(oracle.pacf_naive(bits, t) for t in range(n))
+            for start, include_zero in ((0, True), (1, False)):
+                assert oacf_distribution(s, include_zero).entries == dict(
+                    sorted(Counter(expected_oacf[start:]).items())
+                )
+            if n > 1:
+                assert peak_oacf(s) == max(abs(v) for v in expected_oacf[1:])
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_profiles_match_single_shift(self, n):
+        s = random_sequence(random.Random(n), n)
+        assert oacf_profile(s).values == tuple(oacf(s, t) for t in range(n))
+        assert pacf_profile(s).values == tuple(pacf(s, t) for t in range(n))
+
+    def test_affine_ops_match_naive(self):
+        rng = random.Random(63)
+        for _ in range(80):
+            n = rng.randrange(1, 65)
+            s = random_sequence(rng, n)
+            bits = s.bits()
+            d = _unit(rng, n)
+            assert decimate(s, d).bits() == oracle.decimate_naive(bits, d)
+            d = _unit(rng, 2 * n)
+            assert nega_decimate(s, d).bits() == oracle.nega_decimate_naive(bits, d)
+            t = rng.randrange(-4 * n, 4 * n)
+            assert apply_witness(AffineWitness(d, t), s).bits() == (
+                oracle.apply_witness_naive(bits, d, t)
+            )
+
+    def test_affine_ops_match_naive_at_4096(self):
+        n = 4096
+        rng = random.Random(n)
+        s = random_sequence(rng, n)
+        bits = s.bits()
+        d = _unit(rng, 2 * n)
+        t = rng.randrange(2 * n)
+        assert decimate(s, d).bits() == oracle.decimate_naive(bits, d)
+        assert nega_decimate(s, d).bits() == oracle.nega_decimate_naive(bits, d)
+        assert apply_witness(AffineWitness(d, t), s).bits() == (
+            oracle.apply_witness_naive(bits, d, t)
+        )
