@@ -11,7 +11,6 @@ inapplicable, 4 verification failure or no witness found.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .constructions import (
     ConstructionInapplicableError,
@@ -23,8 +22,6 @@ from .cyclotomy import build_system, is_prime
 from .equivalence import classify, oacf_equivalent, reachable_without_negadecimation, verify_table4
 from .sequences import (
     BinarySequence,
-    NotCoprimeError,
-    SequenceParseError,
     ValueMultiset,
     cyclic_shift,
     decimate,
@@ -43,38 +40,17 @@ EXIT_VERIFY = 4
 DEFAULT_PRIMES = (17, 41, 5, 13, 29, 37)
 
 
-@dataclass
-class OutputEnvelope:
-    """One invocation's report: stable text lines plus a JSON payload."""
-
-    format: str  # "text" or "json"
-    payload: object
-    lines: tuple[str, ...]
-
-    def emit(self) -> None:
-        if self.format == "json":
-            print(json.dumps(self.payload, sort_keys=True))
-        else:
-            for line in self.lines:
-                print(line)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _read_sequence(literal: str) -> BinarySequence:
     if literal == "-":
         literal = sys.stdin.read()
     return BinarySequence.from_string(literal)
 
 
-def _cmd_oacf(args) -> int:
-    try:
-        seq = _read_sequence(args.sequence)
-    except SequenceParseError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+# Each _cmd_* handler returns (exit code, JSON payload, text lines); main prints it.
+
+
+def _cmd_oacf(args):
+    seq = _read_sequence(args.sequence)
     profile = pacf_profile(seq) if args.pacf else oacf_profile(seq)
     payload: dict = {"kind": profile.kind, "period": seq.period}
     if args.distribution:
@@ -84,8 +60,7 @@ def _cmd_oacf(args) -> int:
     else:
         payload["values"] = list(profile.values)
         lines = (" ".join(map(str, profile.values)),)
-    OutputEnvelope("json" if args.json else "text", payload, lines).emit()
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 _APPLY_OPS = {
@@ -97,31 +72,21 @@ _APPLY_OPS = {
 }
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args):
     op, needs_param = _APPLY_OPS[args.op]
     if needs_param and args.param is None:
-        return _fail(f"operation {args.op!r} requires an integer parameter", EXIT_USAGE)
+        raise ValueError(f"operation {args.op!r} requires an integer parameter")
     if not needs_param and args.param is not None:
-        return _fail(f"operation {args.op!r} takes no parameter", EXIT_USAGE)
-    try:
-        seq = _read_sequence(args.sequence)
-        result = op(seq, args.param) if needs_param else op(seq)
-    except (SequenceParseError, NotCoprimeError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    text = str(result)
+        raise ValueError(f"operation {args.op!r} takes no parameter")
+    seq = _read_sequence(args.sequence)
+    text = str(op(seq, args.param) if needs_param else op(seq))
     payload = {"op": args.op, "input": str(seq), "param": args.param, "result": text}
-    OutputEnvelope("json" if args.json else "text", payload, (text,)).emit()
-    return EXIT_OK
+    return EXIT_OK, payload, (text,)
 
 
-def _cmd_construct(args) -> int:
-    try:
-        system = build_system(args.p, args.alpha)
-        s, u = construct_in(system, args.index)
-    except ConstructionInapplicableError as exc:
-        return _fail(str(exc), EXIT_INAPPLICABLE)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def _cmd_construct(args):
+    system = build_system(args.p, args.alpha)
+    s, u = construct_in(system, args.index)
     payload = {
         "index": args.index,
         "p": args.p,
@@ -132,8 +97,7 @@ def _cmd_construct(args) -> int:
     if args.emit_u:
         payload["u"] = str(u)
         lines.append(str(u))
-    OutputEnvelope("json" if args.json else "text", payload, tuple(lines)).emit()
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -143,12 +107,12 @@ def _parse_primes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     run_tables = args.tables or not (args.tables or args.table4)
     run_table4 = args.table4 or not (args.tables or args.table4)
     primes = args.primes if args.primes is not None else list(DEFAULT_PRIMES)
     if args.alpha is not None and len(primes) != 1:
-        return _fail("--alpha requires exactly one prime", EXIT_USAGE)
+        raise ValueError("--alpha requires exactly one prime")
 
     notices: list[str] = []
     usable: list[int] = []
@@ -164,16 +128,13 @@ def _cmd_verify(args) -> int:
 
     if run_tables:
         reports = []
-        try:
-            for p in usable:
-                for index in range(1, 17):
-                    if not is_applicable(index, p):
-                        continue
-                    report = verify_table(index, p, args.alpha)
-                    reports.append(report)
-                    lines.append(report.text_line())
-        except ValueError as exc:  # e.g. --alpha is not a generator
-            return _fail(str(exc), EXIT_USAGE)
+        for p in usable:
+            for index in range(1, 17):
+                if not is_applicable(index, p):
+                    continue
+                report = verify_table(index, p, args.alpha)
+                reports.append(report)
+                lines.append(report.text_line())
         passed = sum(r.matched for r in reports)
         lines.append(f"tables: {passed}/{len(reports)} rows passed")
         payload["tables"] = [r.to_json_dict() for r in reports]
@@ -199,8 +160,7 @@ def _cmd_verify(args) -> int:
 
     lines.append("verify: PASS" if ok else "verify: FAIL")
     payload["pass"] = ok
-    OutputEnvelope("json" if args.json else "text", payload, tuple(lines)).emit()
-    return EXIT_OK if ok else EXIT_VERIFY
+    return (EXIT_OK if ok else EXIT_VERIFY), payload, lines
 
 
 def _labeled_from_args(args) -> dict[str, BinarySequence]:
@@ -230,14 +190,8 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
     return labeled
 
 
-def _cmd_classify(args) -> int:
-    try:
-        labeled = _labeled_from_args(args)
-        classes = classify(labeled)
-    except ConstructionInapplicableError as exc:
-        return _fail(str(exc), EXIT_INAPPLICABLE)
-    except (SequenceParseError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def _cmd_classify(args):
+    classes = classify(_labeled_from_args(args))
     payload = [cls.to_json_dict(k) for k, cls in enumerate(classes, start=1)]
     lines = []
     for k, cls in enumerate(classes, start=1):
@@ -249,22 +203,18 @@ def _cmd_classify(args) -> int:
             f"members={','.join(cls.members)} witnesses: {witnesses}"
         )
     lines.append(f"classes: {len(classes)}")
-    OutputEnvelope("json" if args.json else "text", payload, tuple(lines)).emit()
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_equiv(args) -> int:
-    try:
-        first = _read_sequence(args.first)
-        second = _read_sequence(args.second)
-        if args.without_negadecimation:
-            reachable = reachable_without_negadecimation(first, second)
-            witness = None
-        else:
-            witness = oacf_equivalent(first, second)
-            reachable = witness is not None
-    except (SequenceParseError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+def _cmd_equiv(args):
+    first = _read_sequence(args.first)
+    second = _read_sequence(args.second)
+    if args.without_negadecimation:
+        reachable = reachable_without_negadecimation(first, second)
+        witness = None
+    else:
+        witness = oacf_equivalent(first, second)
+        reachable = witness is not None
     payload = {
         "equivalent": reachable,
         "restricted_to_shift_and_negation": args.without_negadecimation,
@@ -275,8 +225,7 @@ def _cmd_equiv(args) -> int:
                  else "not reachable without nega-decimation",)
     else:
         lines = ((f"witness d={witness.d} t={witness.t}" if witness else "no witness"),)
-    OutputEnvelope("json" if args.json else "text", payload, lines).emit()
-    return EXIT_OK if reachable else EXIT_VERIFY
+    return (EXIT_OK if reachable else EXIT_VERIFY), payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,65 +233,71 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oacf",
         description="Odd-periodic autocorrelation toolkit for binary sequences.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON document")
-    alpha = argparse.ArgumentParser(add_help=False)
-    alpha.add_argument(
-        "--alpha", type=int, default=None,
-        help="override the generator of GF(p)* (default: smallest primitive root)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("oacf", parents=[common], help="correlation profile of a sequence")
+    def command(name, handler, summary, alpha=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        if alpha:
+            p.add_argument(
+                "--alpha", type=int, default=None,
+                help="override the generator of GF(p)* (default: smallest primitive root)",
+            )
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("oacf", _cmd_oacf, "correlation profile of a sequence")
     p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
     p.add_argument("--pacf", action="store_true", help="periodic instead of odd-periodic")
     p.add_argument("--distribution", action="store_true", help="print the value multiset")
-    p.set_defaults(handler=_cmd_oacf)
 
-    p = sub.add_parser("apply", parents=[common], help="apply a sequence operation")
+    p = command("apply", _cmd_apply, "apply a sequence operation")
     p.add_argument("op", choices=sorted(_APPLY_OPS))
     p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
     p.add_argument("param", type=int, nargs="?", default=None,
                    help="shift amount or decimation parameter")
-    p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("construct", parents=[common, alpha],
-                       help="build one of the sixteen period-4p constructions")
+    p = command("construct", _cmd_construct,
+                "build one of the sixteen period-4p constructions", alpha=True)
     p.add_argument("index", type=int, help="construction index in [1, 16]")
     p.add_argument("p", type=int, help="prime with p = 1 (mod 4)")
     p.add_argument("--emit-u", action="store_true",
                    help="also print the doubled characteristic sequence")
-    p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("verify", parents=[common, alpha],
-                       help="check constructions against their value sets and pairings")
+    p = command("verify", _cmd_verify,
+                "check constructions against their value sets and pairings", alpha=True)
     p.add_argument("--tables", action="store_true", help="only the value-set checks")
     p.add_argument("--table4", action="store_true", help="only the pairing relations")
     p.add_argument("--primes", type=_parse_primes, default=None,
                    help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("classify", parents=[common, alpha],
-                       help="partition sequences into OACF-equivalence classes")
+    p = command("classify", _cmd_classify,
+                "partition sequences into OACF-equivalence classes", alpha=True)
     p.add_argument("sequences", nargs="*",
                    help="literals or label=literal entries; '-' reads lines from stdin")
     p.add_argument("--parker", type=int, metavar="P", default=None,
                    help="classify the applicable constructions at prime P instead")
-    p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("equiv", parents=[common],
-                       help="search for a witness mapping one sequence to another")
+    p = command("equiv", _cmd_equiv, "search for a witness mapping one sequence to another")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--without-negadecimation", action="store_true",
                    help="search only negation and nega-cyclic shifts (d = 1)")
-    p.set_defaults(handler=_cmd_equiv)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: print its report (JSON with --json, else text
+    lines) on stdout and return its exit code; an error prints one
+    ``error:`` line on stderr instead."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code, payload, lines = args.handler(args)
+    except ValueError as exc:  # parse, gcd, usage and precondition errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INAPPLICABLE if isinstance(exc, ConstructionInapplicableError) else EXIT_USAGE
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    return code
 
 
 def entrypoint() -> None:

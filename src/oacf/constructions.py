@@ -183,10 +183,10 @@ def build_support(spec: ConstructionSpec, system: CyclotomicSystem) -> SupportSe
 
 
 def _characteristic(support: SupportSet) -> BinarySequence:
-    word = 0
+    text = bytearray(b"0") * support.modulus
     for r in support.residues:
-        word |= 1 << r
-    return BinarySequence(word, support.modulus)
+        text[r] = 49  # ord("1")
+    return BinarySequence(int(text[::-1], 2), support.modulus)
 
 
 def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, BinarySequence]:

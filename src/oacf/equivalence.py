@@ -54,10 +54,6 @@ class AffineWitness:
     t: int
 
     @classmethod
-    def identity(cls) -> "AffineWitness":
-        return cls(1, 0)
-
-    @classmethod
     def negation(cls, period: int) -> "AffineWitness":
         return cls(1, period)
 

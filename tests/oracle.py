@@ -5,7 +5,8 @@ arithmetic, independent of the package's bit-packed kernels, so the two
 paths can be checked against each other.  The rest are the package's former
 implementations, kept as differential oracles of the faster ones:
 ``from_string_reference`` is the per-character parser,
-``_decimate_word`` the per-bit decimation loop, and
+``_decimate_word`` the per-bit decimation loop,
+``characteristic_reference`` the per-residue construction word, and
 ``oacf_equivalent_reference`` the unpruned witness search.
 """
 
@@ -103,6 +104,14 @@ def oacf_equivalent_naive(bits: list[int], target: list[int]) -> tuple[int, int]
             if apply_witness_naive(bits, d, t) == target:
                 return d, t
     return None
+
+
+def characteristic_reference(support) -> BinarySequence:
+    """Characteristic sequence of a ``SupportSet``, one OR per residue."""
+    word = 0
+    for r in support.residues:
+        word |= 1 << r
+    return BinarySequence(word, support.modulus)
 
 
 def _decimate_word(word: int, n: int, d: int) -> int:

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from oacf import BinarySequence, construct, oacf_distribution, oacf_profile
 from oacf.cli import main
@@ -57,8 +60,6 @@ class TestOacfCommand:
         assert "position 2" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("0 1, 10\n"))
         code, out, _ = run_cli(capsys, "oacf", "-", "--pacf")
         assert code == 0
@@ -228,8 +229,6 @@ class TestClassifyCommand:
         ]
 
     def test_stdin_lines(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("x=0110\n1001\n"))
         code, out, _ = run_cli(capsys, "classify", "-")
         assert code == 0
@@ -282,3 +281,57 @@ class TestUsage:
     def test_unknown_op(self, capsys):
         code, _, _ = run_cli(capsys, "apply", "frobnicate", "01")
         assert code == 2
+
+
+ERROR_CASES = [
+    (["oacf", "01x0"], 2, "invalid character 'x' at position 2"),
+    (["apply", "negate", "0a"], 2, "invalid character 'a' at position 1"),
+    (["equiv", "01", "0b1"], 2, "invalid character 'b' at position 1"),
+    (["classify", "a=01", "b=2"], 2, "invalid character '2' at position 0"),
+    (["apply", "decimate", "0101", "2"], 2,
+     "gcd(d=2, N=4) = 2; decimation requires gcd(d, N) = 1"),
+    (["apply", "negadecimate", "010", "3"], 2,
+     "gcd(d=3, 2N=6) = 3; nega-decimation requires gcd(d, 2N) = 1"),
+    (["apply", "decimate", "0101"], 2, "operation 'decimate' requires an integer parameter"),
+    (["apply", "negate", "01", "1"], 2, "operation 'negate' takes no parameter"),
+    (["equiv", "0101", "010"], 2, "periods differ: 4 != 3"),
+    (["construct", "1", "13"], 3, "construction 1 requires f even (p=13 has f=3)"),
+    (["construct", "1", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15"),
+    (["construct", "9", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13"),
+    (["verify", "--primes", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13"),
+    (["verify", "--alpha", "2"], 2, "--alpha requires exactly one prime"),
+    (["classify", "a=01", "a=10"], 2, "duplicate label 'a'"),
+    (["classify"], 2, "no sequences given (pass literals, label=literal, or '-')"),
+    (["classify", "--parker", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", ERROR_CASES)
+def test_error_prints_one_line_and_nothing_on_stdout(capsys, argv, code, message):
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_undecodable_stdin_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff01"), encoding="utf-8"))
+    assert run_cli(capsys, "oacf", "-") == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("argv, usage", [
+    ([], "usage: oacf [-h] {oacf,apply,construct,verify,classify,equiv} ..."),
+    (["oacf"], "usage: oacf oacf [-h] [--json] [--pacf] [--distribution] sequence"),
+    (["apply"], "usage: oacf apply [-h] [--json] "
+                "{decimate,negadecimate,negashift,negate,shift} sequence [param]"),
+    (["construct"], "usage: oacf construct [-h] [--json] [--alpha ALPHA] [--emit-u] index p"),
+    (["verify"], "usage: oacf verify [-h] [--json] [--alpha ALPHA] [--tables] [--table4] "
+                 "[--primes PRIMES]"),
+    (["classify"], "usage: oacf classify [-h] [--json] [--alpha ALPHA] [--parker P] "
+                   "[sequences ...]"),
+    (["equiv"], "usage: oacf equiv [-h] [--json] [--without-negadecimation] first second"),
+])
+def test_help_usage_line(capsys, monkeypatch, argv, usage):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = run_cli(capsys, *argv, "--help")
+    assert code == 0
+    assert out.splitlines()[0] == usage

@@ -21,6 +21,9 @@ from oacf import (
     try_parker_split,
     verify_table,
 )
+from oacf.constructions import _characteristic
+
+import oracle
 
 
 class TestCrtIso:
@@ -104,6 +107,14 @@ class TestSupport:
     def test_parity_mismatch(self):
         with pytest.raises(ConstructionInapplicableError):
             build_support(construction_spec(1), build_system(13))
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 401])
+    def test_characteristic_matches_reference(self, p):
+        system = build_system(p)
+        for index in range(1, 17):
+            if is_applicable(index, p):
+                support = build_support(construction_spec(index), system)
+                assert _characteristic(support) == oracle.characteristic_reference(support)
 
 
 class TestConstruct:
