@@ -29,6 +29,7 @@ from .sequences import (
     try_parker_split,
 )
 from .cyclotomy import (
+    MAX_P,
     CSet,
     CyclotomicSystem,
     build_system,

@@ -18,7 +18,7 @@ from .constructions import (
     is_applicable,
     verify_table,
 )
-from .cyclotomy import build_system, is_prime
+from .cyclotomy import _check_p_limit, build_system, is_prime
 from .equivalence import classify, oacf_equivalent, reachable_without_negadecimation, verify_table4
 from .sequences import (
     BinarySequence,
@@ -102,7 +102,7 @@ def _cmd_construct(args):
 
 def _parse_primes(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
 
@@ -117,6 +117,7 @@ def _cmd_verify(args):
     notices: list[str] = []
     usable: list[int] = []
     for p in primes:
+        _check_p_limit(p)
         if is_prime(p) and p % 4 == 1:
             usable.append(p)
         else:

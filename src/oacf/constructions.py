@@ -6,6 +6,9 @@ gamma) by complement rules, mapped through the CRT isomorphism to Z_{8p},
 and read off as a characteristic sequence u of period 8p.  By construction
 u(i) = u(i + 4p) + 1, so u splits as s || (s + 1) with s of period N = 4p.
 
+``build_support`` states that support set literally; ``construct_in`` reads it
+through one class code per residue and one 256-byte table per construction.
+
 ``verify_table`` checks the distinct OACF values of s against the family's
 symbolic value set instantiated with the quartic decomposition (x, y),
 accepting a uniform sign flip of y (the tables fix no sign convention).
@@ -13,7 +16,7 @@ accepting a uniform sign flip of y (the tables fix no sign convention).
 
 from dataclasses import dataclass
 
-from .cyclotomy import CyclotomicSystem, build_system, cset, complement_cset_index
+from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, cset, complement_cset_index
 from .sequences import BinarySequence, oacf_distribution, try_parker_split
 
 __all__ = [
@@ -113,9 +116,7 @@ def construction_spec(index: int) -> ConstructionSpec:
 
 def is_applicable(index: int, p: int) -> bool:
     """True iff the parity of f = (p-1)/4 matches the construction's row."""
-    spec = construction_spec(index)
-    f = (p - 1) // 4
-    return (f % 2 == 0) == (spec.f_parity == "even")
+    return ((p - 1) // 4 % 2 == 0) == (construction_spec(index).f_parity == "even")
 
 
 def crt_iso(p: int):
@@ -167,14 +168,16 @@ class SupportSet:
     residues: frozenset[int]
 
 
+def _check_parity(spec: ConstructionSpec, system: CyclotomicSystem) -> None:
+    if not is_applicable(spec.index, system.p):
+        raise ConstructionInapplicableError(
+            f"construction {spec.index} requires f {spec.f_parity} (p={system.p} has f={system.f})"
+        )
+
+
 def build_support(spec: ConstructionSpec, system: CyclotomicSystem) -> SupportSet:
     """Support of u in Z_{8p}: the G x {0} part plus the {n} x A_n parts."""
-    f = system.f
-    if (f % 2 == 0) != (spec.f_parity == "even"):
-        raise ConstructionInapplicableError(
-            f"construction {spec.index} requires f {spec.f_parity} "
-            f"(p={system.p} has f={f})"
-        )
+    _check_parity(spec, system)
     eta, _ = crt_iso(system.p)
     residues = {eta(g, 0) for g in expand_g(spec.g_prime)}
     for n, a_n in enumerate(expand_gamma(spec.gamma, system)):
@@ -182,22 +185,35 @@ def build_support(spec: ConstructionSpec, system: CyclotomicSystem) -> SupportSe
     return SupportSet(8 * system.p, frozenset(residues))
 
 
-def _characteristic(support: SupportSet) -> BinarySequence:
-    text = bytearray(b"0") * support.modulus
-    for r in support.residues:
-        text[r] = 49  # ord("1")
-    return BinarySequence(int(text[::-1], 2), support.modulus)
+def _code_table(spec: ConstructionSpec) -> bytes:
+    # code 5n + k reads "1" iff (n, D_k) lies in the support; k = 4 stands for (n, 0)
+    table = bytearray(b"0") * 256
+    for n in expand_g(spec.g_prime):
+        table[5 * n + 4] = 49  # ord("1")
+    for n, i in enumerate(expand_gamma_indices(spec.gamma)):
+        for k in CSET_PAIRS[i]:
+            table[5 * n + k] = 49
+    return bytes(table)
+
+
+_CODE_TABLES = tuple(_code_table(spec) for spec in CONSTRUCTIONS)
 
 
 def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, BinarySequence]:
     """(s, u) for construction ``index`` over an already-built system."""
-    support = build_support(construction_spec(index), system)
-    u = _characteristic(support)
+    _check_parity(construction_spec(index), system)
+    p = system.p
+    cls = bytearray([4]) * p
+    for k, members in enumerate(system.classes):
+        for a in members:
+            cls[a] = k
+    # byte z is 5*(z mod 8) + cls[z mod p] <= 39, so the two addends never carry
+    codes = int.from_bytes(bytes(range(0, 40, 5)) * p, "little") + int.from_bytes(cls * 8, "little")
+    text = codes.to_bytes(8 * p, "little").translate(_CODE_TABLES[index - 1])
+    u = BinarySequence(int(text[::-1], 2), 8 * p)
     s = try_parker_split(u)
     if s is None:
-        raise RuntimeError(
-            "support violates the half-period complement rule (internal error)"
-        )
+        raise RuntimeError("support violates the half-period complement rule (internal error)")
     return s, u
 
 
@@ -228,19 +244,7 @@ class VerificationReport:
     collapsed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "p": self.p,
-            "x": self.x,
-            "y": self.y,
-            "f": self.f,
-            "alpha": self.alpha,
-            "matched": self.matched,
-            "branch": self.branch,
-            "computed": list(self.computed),
-            "expected": list(self.expected),
-            "collapsed": self.collapsed,
-        }
+        return dict(vars(self), computed=list(self.computed), expected=list(self.expected))
 
     def text_line(self) -> str:
         values = "{" + ", ".join(str(v) for v in self.computed) + "}"

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "MAX_P",
     "CyclotomicSystem",
     "CSet",
     "is_prime",
@@ -22,6 +23,13 @@ __all__ = [
 
 # C-set index -> the pair of D-class indices it unites
 CSET_PAIRS = {1: (0, 1), 2: (0, 2), 3: (0, 3), 4: (1, 2), 5: (1, 3), 6: (2, 3)}
+
+MAX_P = 10_000  # checked before any trial division; a verify_table row at 9973 takes 0.13 s
+
+
+def _check_p_limit(p: int) -> None:
+    if p > MAX_P:
+        raise ValueError(f"p must be at most MAX_P = {MAX_P}, got {p}")
 
 
 def is_prime(n: int) -> bool:
@@ -123,6 +131,7 @@ class CSet:
 def build_system(p: int, alpha: int | None = None) -> CyclotomicSystem:
     """Build the order-4 cyclotomic system for p; ``alpha`` defaults to the
     smallest primitive root and may be overridden by any other generator."""
+    _check_p_limit(p)
     x, y, f = quartic_decomposition(p)
     if alpha is None:
         alpha = smallest_primitive_root(p)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oacf import BinarySequence, construct, oacf_distribution, oacf_profile
+from oacf import MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
 from oacf.cli import main
 
 import goldens
@@ -193,6 +193,12 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["table4"]["rows"][0]["pass"] is True
 
+    @pytest.mark.parametrize("primes", ["1,,2", "13,", ""])
+    def test_empty_prime_item_is_a_usage_error(self, capsys, primes):
+        code, out, err = run_cli(capsys, "verify", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --primes: bad prime list {primes!r}\n")
+
     def test_alpha_needs_single_prime(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--tables", "--alpha", "2")
         assert code == 2
@@ -303,6 +309,9 @@ ERROR_CASES = [
     (["classify", "a=01", "a=10"], 2, "duplicate label 'a'"),
     (["classify"], 2, "no sequences given (pass literals, label=literal, or '-')"),
     (["classify", "--parker", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15"),
+    (["construct", "1", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
+    (["verify", "--primes", f"13,{MAX_P + 1}"], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
+    (["classify", "--parker", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
 ]
 
 

@@ -14,6 +14,7 @@ from oacf import (
     expand_gamma,
     expand_gamma_indices,
     is_applicable,
+    is_primitive_root,
     oacf,
     oacf_profile,
     pacf,
@@ -21,7 +22,6 @@ from oacf import (
     try_parker_split,
     verify_table,
 )
-from oacf.constructions import _characteristic
 
 import oracle
 
@@ -108,13 +108,20 @@ class TestSupport:
         with pytest.raises(ConstructionInapplicableError):
             build_support(construction_spec(1), build_system(13))
 
-    @pytest.mark.parametrize("p", [5, 13, 17, 29, 401])
-    def test_characteristic_matches_reference(self, p):
-        system = build_system(p)
-        for index in range(1, 17):
-            if is_applicable(index, p):
+
+class TestTableDrivenWord:
+    # f = (p-1)/4 is odd at 5, 13, 29, 37 and 1009 and even at 17 and 401
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 401, 1009])
+    def test_matches_support_reference(self, p):
+        largest_root = next(g for g in range(p - 1, 1, -1) if is_primitive_root(g, p))
+        for alpha in (None, largest_root):
+            system = build_system(p, alpha)
+            indices = [i for i in range(1, 17) if is_applicable(i, p)]
+            assert len(indices) == (4 if system.f % 2 == 0 else 12)
+            for index in indices:
                 support = build_support(construction_spec(index), system)
-                assert _characteristic(support) == oracle.characteristic_reference(support)
+                u = oracle.characteristic_reference(support)
+                assert construct_in(system, index) == (try_parker_split(u), u), (p, alpha, index)
 
 
 class TestConstruct:

@@ -1,6 +1,7 @@
 import pytest
 
 from oacf import (
+    MAX_P,
     build_system,
     complement_cset_index,
     cset,
@@ -127,6 +128,11 @@ class TestSystem:
         assert sys13.classes[0] == frozenset({1, 9, 3})  # 6^0, 6^4, 6^8
         with pytest.raises(ValueError):
             build_system(13, alpha=3)  # 3 has order 3
+
+    def test_p_above_limit_fails_fast(self):
+        # the guard runs before the trial division and the class sets
+        with pytest.raises(ValueError, match=f"^p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}$"):
+            build_system(MAX_P + 1)
 
     def test_is_primitive_root(self):
         assert is_primitive_root(2, 13)
