@@ -8,6 +8,7 @@ engine.
 """
 
 from .sequences import (
+    MAX_N,
     BinarySequence,
     CorrelationProfile,
     NotCoprimeError,
@@ -30,10 +31,8 @@ from .sequences import (
 )
 from .cyclotomy import (
     MAX_P,
-    CSet,
     CyclotomicSystem,
     build_system,
-    cset,
     complement_cset_index,
     is_prime,
     is_primitive_root,
@@ -44,15 +43,12 @@ from .constructions import (
     CONSTRUCTIONS,
     ConstructionInapplicableError,
     ConstructionSpec,
-    SupportSet,
     VerificationReport,
-    build_support,
     construct,
     construct_in,
     construction_spec,
     crt_iso,
     expand_g,
-    expand_gamma,
     expand_gamma_indices,
     is_applicable,
     verify_table,

@@ -9,7 +9,6 @@ inapplicable, 4 verification failure or no witness found.
 """
 
 import argparse
-import json
 import sys
 
 from .constructions import (
@@ -21,6 +20,7 @@ from .constructions import (
 from .cyclotomy import _check_p_limit, build_system, is_prime
 from .equivalence import classify, oacf_equivalent, reachable_without_negadecimation, verify_table4
 from .sequences import (
+    MAX_N,
     BinarySequence,
     ValueMultiset,
     cyclic_shift,
@@ -40,10 +40,16 @@ EXIT_VERIFY = 4
 DEFAULT_PRIMES = (17, 41, 5, 13, 29, 37)
 
 
+def _parse_sequence(literal: str) -> BinarySequence:
+    # checked before any profile, search or gather, whose cost grows as N^2
+    seq = BinarySequence.from_string(literal)
+    if seq.period > MAX_N:
+        raise ValueError(f"period must be at most MAX_N = {MAX_N}, got {seq.period}")
+    return seq
+
+
 def _read_sequence(literal: str) -> BinarySequence:
-    if literal == "-":
-        literal = sys.stdin.read()
-    return BinarySequence.from_string(literal)
+    return _parse_sequence(sys.stdin.read() if literal == "-" else literal)
 
 
 # Each _cmd_* handler returns (exit code, JSON payload, text lines); main prints it.
@@ -166,6 +172,8 @@ def _cmd_verify(args):
 
 def _labeled_from_args(args) -> dict[str, BinarySequence]:
     if args.parker is not None:
+        if args.sequences:
+            raise ValueError("give either sequences or --parker P, not both")
         system = build_system(args.parker, args.alpha)
         return {
             f"s{i}": construct_in(system, i)[0]
@@ -187,7 +195,7 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
             label = f"seq{k}"
         if label in labeled:
             raise ValueError(f"duplicate label {label!r}")
-        labeled[label] = BinarySequence.from_string(literal)
+        labeled[label] = _parse_sequence(literal)
     return labeled
 
 
@@ -297,7 +305,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # parse, gcd, usage and precondition errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE if isinstance(exc, ConstructionInapplicableError) else EXIT_USAGE
-    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    if args.json:
+        import json  # loaded here so that text output, the default, skips its import
+
+        lines = (json.dumps(payload, sort_keys=True),)
+    print("\n".join(lines))
     return code
 
 

@@ -6,23 +6,21 @@ gamma) by complement rules, mapped through the CRT isomorphism to Z_{8p},
 and read off as a characteristic sequence u of period 8p.  By construction
 u(i) = u(i + 4p) + 1, so u splits as s || (s + 1) with s of period N = 4p.
 
-``build_support`` states that support set literally; ``construct_in`` reads it
-through one class code per residue and one 256-byte table per construction.
+``construct_in`` reads that support set through one class code per residue
+and one 256-byte table per construction; ``build_support`` in
+``tests/oracle.py`` states it literally.
 
 ``verify_table`` checks the distinct OACF values of s against the family's
 symbolic value set instantiated with the quartic decomposition (x, y),
 accepting a uniform sign flip of y (the tables fix no sign convention).
 """
 
-from dataclasses import dataclass
-
-from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, cset, complement_cset_index
-from .sequences import BinarySequence, oacf_distribution, try_parker_split
+from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, complement_cset_index
+from .sequences import BinarySequence, _record, oacf_distribution, try_parker_split
 
 __all__ = [
     "ConstructionSpec",
     "ConstructionInapplicableError",
-    "SupportSet",
     "VerificationReport",
     "CONSTRUCTIONS",
     "construction_spec",
@@ -30,8 +28,6 @@ __all__ = [
     "crt_iso",
     "expand_g",
     "expand_gamma_indices",
-    "expand_gamma",
-    "build_support",
     "construct",
     "construct_in",
     "verify_table",
@@ -55,7 +51,7 @@ _4Y_P8 = (8, 0, 4)
 _4Y_M8 = (-8, 0, 4)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ConstructionSpec:
     index: int
     g_prime: frozenset[int]
@@ -155,34 +151,11 @@ def expand_gamma_indices(gamma) -> tuple[int, ...]:
     return gamma + tuple(complement_cset_index(i) for i in gamma)
 
 
-def expand_gamma(gamma, system: CyclotomicSystem) -> tuple[frozenset[int], ...]:
-    """The eight subsets A0..A7 of Z_p \\ {0} named by ``gamma``."""
-    return tuple(cset(system, i).members for i in expand_gamma_indices(gamma))
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Residues in Z_modulus whose characteristic sequence is u."""
-
-    modulus: int
-    residues: frozenset[int]
-
-
 def _check_parity(spec: ConstructionSpec, system: CyclotomicSystem) -> None:
     if not is_applicable(spec.index, system.p):
         raise ConstructionInapplicableError(
             f"construction {spec.index} requires f {spec.f_parity} (p={system.p} has f={system.f})"
         )
-
-
-def build_support(spec: ConstructionSpec, system: CyclotomicSystem) -> SupportSet:
-    """Support of u in Z_{8p}: the G x {0} part plus the {n} x A_n parts."""
-    _check_parity(spec, system)
-    eta, _ = crt_iso(system.p)
-    residues = {eta(g, 0) for g in expand_g(spec.g_prime)}
-    for n, a_n in enumerate(expand_gamma(spec.gamma, system)):
-        residues.update(eta(n, a) for a in a_n)
-    return SupportSet(8 * system.p, frozenset(residues))
 
 
 def _code_table(spec: ConstructionSpec) -> bytes:
@@ -223,7 +196,7 @@ def construct(index: int, p: int, alpha: int | None = None) -> tuple[BinarySeque
     return construct_in(build_system(p, alpha), index)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class VerificationReport:
     """Distinct-OACF-value check of one construction at one prime.
 

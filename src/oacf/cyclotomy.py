@@ -6,18 +6,17 @@ D_k = { alpha^(4s+k) : 0 <= s < f }, plus the six two-class unions C1..C6.
 """
 
 import math
-from dataclasses import dataclass
+
+from .sequences import _record
 
 __all__ = [
     "MAX_P",
     "CyclotomicSystem",
-    "CSet",
     "is_prime",
     "quartic_decomposition",
     "smallest_primitive_root",
     "is_primitive_root",
     "build_system",
-    "cset",
     "complement_cset_index",
 ]
 
@@ -99,7 +98,7 @@ def is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CyclotomicSystem:
     """Prime p with quartic decomposition, a fixed generator, and the four
     order-4 cyclotomic classes (which partition Z_p \\ {0})."""
@@ -120,14 +119,6 @@ class CyclotomicSystem:
         raise ValueError(f"{a} is not in any class (is it 0 mod {self.p}?)")
 
 
-@dataclass(frozen=True)
-class CSet:
-    """One of the six pairwise unions C1..C6 of the cyclotomic classes."""
-
-    index: int
-    members: frozenset[int]
-
-
 def build_system(p: int, alpha: int | None = None) -> CyclotomicSystem:
     """Build the order-4 cyclotomic system for p; ``alpha`` defaults to the
     smallest primitive root and may be overridden by any other generator."""
@@ -143,13 +134,6 @@ def build_system(p: int, alpha: int | None = None) -> CyclotomicSystem:
         members[e % 4].add(val)
         val = val * alpha % p
     return CyclotomicSystem(p, x, y, f, alpha % p, tuple(frozenset(m) for m in members))
-
-
-def cset(system: CyclotomicSystem, index: int) -> CSet:
-    if index not in CSET_PAIRS:
-        raise ValueError(f"C-set index must be in [1, 6], got {index}")
-    j, k = CSET_PAIRS[index]
-    return CSet(index, system.classes[j] | system.classes[k])
 
 
 def complement_cset_index(index: int) -> int:

@@ -12,7 +12,6 @@ and the witness search space d in Z*_{2N}, t in Z_{2N} is complete.
 """
 
 import math
-from dataclasses import dataclass
 
 from .constructions import construct_in, crt_iso
 from .cyclotomy import build_system
@@ -23,6 +22,7 @@ from .sequences import (
     _bit_text,
     _correlations,
     _doubled_word,
+    _record,
     negate,
     nega_decimate,
 )
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@_record(frozen=True, order=True)
 class AffineWitness:
     """Index map i -> d*i + t on the doubled index set Z_{2N}.
 
@@ -166,7 +166,7 @@ def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence)
     return _smallest_shift(text, target, 1, two_n) is not None
 
 
-@dataclass
+@_record()
 class EquivalenceClass:
     """Sequences mutually reachable through the OACF-preserving operations;
     each member carries a witness from the representative."""
@@ -236,7 +236,7 @@ TABLE4_RELATIONS = (
 )
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Table4RowReport:
     """Outcome of one explicit pairing relation.
 
@@ -272,24 +272,11 @@ class Table4RowReport:
         return self.printed_match or self.inverse_match
 
     def to_json_dict(self) -> dict:
-        witness = (
-            {"d": self.witness.d, "t": self.witness.t} if self.witness else None
-        )
-        return {
-            "row": self.row,
-            "p": self.p,
-            "source": self.source,
-            "target": self.target,
-            "negation": self.negate_first,
-            "exponent": self.exponent,
-            "d_printed": self.d_printed,
-            "printed_match": self.printed_match,
-            "d_inverse": self.d_inverse,
-            "inverse_match": self.inverse_match,
-            "direction": self.direction,
-            "witness": witness,
-            "pass": self.passed,
-        }
+        payload = dict(vars(self), direction=self.direction, **{"pass": self.passed})
+        payload["negation"] = payload.pop("negate_first")
+        if self.witness:
+            payload["witness"] = {"d": self.witness.d, "t": self.witness.t}
+        return payload
 
     def text_line(self) -> str:
         op = f"negadecimate(negate({self.source}), d)" if self.negate_first else (
@@ -307,7 +294,7 @@ class Table4RowReport:
         )
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Table4Report:
     p_even_f: int
     p_odd_f: int
@@ -318,12 +305,8 @@ class Table4Report:
         return all(row.passed for row in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_even_f": self.p_even_f,
-            "p_odd_f": self.p_odd_f,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "pass": self.all_passed,
-        }
+        rows = [row.to_json_dict() for row in self.rows]
+        return dict(vars(self), rows=rows, **{"pass": self.all_passed})
 
 
 def verify_table4(

@@ -13,11 +13,11 @@ is immutable, hashable, and safe to share across threads.
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count, repeat
-from operator import itemgetter, mod
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, mod
 
 __all__ = [
+    "MAX_N",
     "BinarySequence",
     "CorrelationProfile",
     "ValueMultiset",
@@ -39,10 +39,57 @@ __all__ = [
     "nega_decimate",
 ]
 
+MAX_N = 65_536  # the CLI's largest period; an OACF profile at MAX_N takes 0.4 s
+
 _SEPARATORS = " \t\r\n,"
 # checked first: int() also accepts '_', a sign, whitespace and other digits
 _INVALID_CHAR = re.compile(f"[^01{re.escape(_SEPARATORS)}]")
 _DROP_SEPARATORS = str.maketrans("", "", _SEPARATORS)
+
+
+def _read_only(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+
+def _comparison(op, key):
+    def compare(self, other):
+        return op(key(self), key(other)) if other.__class__ is self.__class__ else NotImplemented
+
+    return compare
+
+
+def _record(frozen: bool = False, order: bool = False):
+    """Class decorator for a plain record, in place of ``dataclasses.dataclass``,
+    whose import and generated code cost more than the rest of the package's
+    import.  The annotated names are the fields, in order; the record gets an
+    ``__init__`` taking them by position or keyword, and ``__eq__`` and
+    ``__repr__`` over them.  A frozen record is hashable and raises
+    AttributeError on assignment; ``order`` compares the field tuples."""
+
+    def decorate(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        key = attrgetter(*fields)
+
+        def __init__(self, *args, **kwargs):
+            given = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or given.keys() != set(fields):
+                raise TypeError(f"{cls.__name__}() takes exactly the fields {', '.join(fields)}")
+            self.__dict__.update({name: given[name] for name in fields})
+
+        def __repr__(self):
+            body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+            return f"{self.__class__.__qualname__}({body})"
+
+        cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, _comparison(eq, key)
+        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _read_only
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (
+                _comparison(op, key) for op in (lt, le, gt, ge))
+        return cls
+
+    return decorate
 
 
 class SequenceParseError(ValueError):
@@ -126,7 +173,7 @@ class BinarySequence:
         return f"BinarySequence({str(self)!r})"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CorrelationProfile:
     """Correlation values indexed by shift tau in [0, N).
 

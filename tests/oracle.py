@@ -6,12 +6,22 @@ paths can be checked against each other.  The rest are the package's former
 implementations, kept as differential oracles of the faster ones:
 ``from_string_reference`` is the per-character parser,
 ``_decimate_word`` the per-bit decimation loop,
-``characteristic_reference`` the per-residue construction word, and
+``build_support`` the literal support set of a construction, with
+``characteristic_reference`` its per-residue construction word, and
 ``oacf_equivalent_reference`` the unpruned witness search.
 """
 
 import math
+from dataclasses import dataclass
 
+from oacf.constructions import (
+    ConstructionSpec,
+    _check_parity,
+    crt_iso,
+    expand_g,
+    expand_gamma_indices,
+)
+from oacf.cyclotomy import CSET_PAIRS, CyclotomicSystem
 from oacf.sequences import (
     BinarySequence,
     SequenceParseError,
@@ -104,6 +114,44 @@ def oacf_equivalent_naive(bits: list[int], target: list[int]) -> tuple[int, int]
             if apply_witness_naive(bits, d, t) == target:
                 return d, t
     return None
+
+
+@dataclass(frozen=True)
+class CSet:
+    """One of the six pairwise unions C1..C6 of the cyclotomic classes."""
+
+    index: int
+    members: frozenset[int]
+
+
+def cset(system: CyclotomicSystem, index: int) -> CSet:
+    if index not in CSET_PAIRS:
+        raise ValueError(f"C-set index must be in [1, 6], got {index}")
+    j, k = CSET_PAIRS[index]
+    return CSet(index, system.classes[j] | system.classes[k])
+
+
+def expand_gamma(gamma, system: CyclotomicSystem) -> tuple[frozenset[int], ...]:
+    """The eight subsets A0..A7 of Z_p \\ {0} named by ``gamma``."""
+    return tuple(cset(system, i).members for i in expand_gamma_indices(gamma))
+
+
+@dataclass(frozen=True)
+class SupportSet:
+    """Residues in Z_modulus whose characteristic sequence is u."""
+
+    modulus: int
+    residues: frozenset[int]
+
+
+def build_support(spec: ConstructionSpec, system: CyclotomicSystem) -> SupportSet:
+    """Support of u in Z_{8p}: the G x {0} part plus the {n} x A_n parts."""
+    _check_parity(spec, system)
+    eta, _ = crt_iso(system.p)
+    residues = {eta(g, 0) for g in expand_g(spec.g_prime)}
+    for n, a_n in enumerate(expand_gamma(spec.gamma, system)):
+        residues.update(eta(n, a) for a in a_n)
+    return SupportSet(8 * system.p, frozenset(residues))
 
 
 def characteristic_reference(support) -> BinarySequence:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from oacf import MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
+from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
 from oacf.cli import main
 
 import goldens
@@ -312,12 +312,30 @@ ERROR_CASES = [
     (["construct", "1", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
     (["verify", "--primes", f"13,{MAX_P + 1}"], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
     (["classify", "--parker", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
+    (["classify", "0110", "1001", "--parker", "13"], 2, "give either sequences or --parker P, not both"),
+    (["oacf", "0" * (MAX_N + 1)], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
+    (["apply", "negate", "0" * (MAX_N + 1)], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
+    (["equiv", "0" * (MAX_N + 1), "01"], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
+    (["classify", "a=01", "b=" + "0" * (MAX_N + 1)], 2,
+     f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", ERROR_CASES)
 def test_error_prints_one_line_and_nothing_on_stdout(capsys, argv, code, message):
     assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_period_at_limit_is_accepted(capsys):
+    assert run_cli(capsys, "apply", "negate", "0" * MAX_N) == (0, "1" * MAX_N + "\n", "")
+
+
+@pytest.mark.parametrize("command", ["oacf", "classify"])
+def test_period_above_limit_on_stdin_exits_2(capsys, monkeypatch, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1" * (MAX_N + 1) + "\n"))
+    assert run_cli(capsys, command, "-") == (
+        2, "", f"error: period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}\n"
+    )
 
 
 def test_undecodable_stdin_exits_2(capsys, monkeypatch):

@@ -3,15 +3,12 @@ import pytest
 from oacf import (
     CONSTRUCTIONS,
     ConstructionInapplicableError,
-    build_support,
     build_system,
     construct,
     construct_in,
     construction_spec,
     crt_iso,
-    cset,
     expand_g,
-    expand_gamma,
     expand_gamma_indices,
     is_applicable,
     is_primitive_root,
@@ -24,6 +21,7 @@ from oacf import (
 )
 
 import oracle
+from oracle import build_support, cset, expand_gamma
 
 
 class TestCrtIso:

@@ -4,12 +4,13 @@ from oacf import (
     MAX_P,
     build_system,
     complement_cset_index,
-    cset,
     is_prime,
     is_primitive_root,
     quartic_decomposition,
     smallest_primitive_root,
 )
+
+from oracle import cset
 
 
 def primes_1_mod_4(limit):

@@ -435,4 +435,10 @@ class TestTable4:
         assert d["pass"] is True
         assert len(d["rows"]) == 8
         assert d["rows"][0]["source"] == "s1" and d["rows"][0]["target"] == "s4"
+        assert set(d) == {"p_even_f", "p_odd_f", "rows", "pass"}
+        assert set(d["rows"][0]) == {
+            "row", "p", "source", "target", "negation", "exponent", "d_printed", "printed_match",
+            "d_inverse", "inverse_match", "direction", "witness", "pass",
+        }
+        assert d["rows"][0]["witness"] == {"d": report.rows[0].witness.d, "t": report.rows[0].witness.t}
         assert "PASS" in report.rows[0].text_line()
