@@ -52,6 +52,12 @@ def _read_sequence(literal: str) -> BinarySequence:
     return _parse_sequence(sys.stdin.read() if literal == "-" else literal)
 
 
+def _check_stdin_once(items) -> None:
+    # a second '-' would read an already drained stream
+    if items.count("-") > 1:
+        raise ValueError("'-' (stdin) may be given at most once")
+
+
 # Each _cmd_* handler returns (exit code, JSON payload, text lines); main prints it.
 
 
@@ -180,6 +186,9 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
             for i in range(1, 17)
             if is_applicable(i, args.parker)
         }
+    if args.alpha is not None:
+        raise ValueError("--alpha applies only with --parker P")
+    _check_stdin_once(args.sequences)
     entries: list[str] = []
     for item in args.sequences:
         if item == "-":
@@ -216,6 +225,7 @@ def _cmd_classify(args):
 
 
 def _cmd_equiv(args):
+    _check_stdin_once((args.first, args.second))
     first = _read_sequence(args.first)
     second = _read_sequence(args.second)
     if args.without_negadecimation:
@@ -315,3 +325,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -59,26 +59,6 @@ class ConstructionSpec:
     value_terms: tuple[tuple[int, int, int], ...]
     f_parity: str  # "even" or "odd"
 
-    def template_text(self) -> str:
-        """Symbolic value set, e.g. ``{0, +-2, +-4, +-(2x+4y)}``."""
-        parts = []
-        for a, b, c in self.value_terms:
-            if (a, b, c) == (0, 0, 0):
-                parts.append("0")
-                continue
-            pieces = []
-            if b:
-                pieces.append(f"{b}x" if b > 0 else f"-{-b}x")
-            if c:
-                pieces.append(f"{c}y" if c > 0 else f"-{-c}y")
-            if a:
-                pieces.append(str(a))
-            body = pieces[0]
-            for piece in pieces[1:]:
-                body += piece if piece.startswith("-") else "+" + piece
-            parts.append(f"+-({body})" if len(pieces) > 1 else f"+-{body}")
-        return "{" + ", ".join(parts) + "}"
-
 
 def _spec(index, g_prime, gamma, terms, parity):
     return ConstructionSpec(index, frozenset(g_prime), gamma, terms, parity)

@@ -110,14 +110,6 @@ class CyclotomicSystem:
     alpha: int
     classes: tuple[frozenset[int], ...]
 
-    def class_of(self, a: int) -> int:
-        """Index k with a in D_k."""
-        a %= self.p
-        for k, members in enumerate(self.classes):
-            if a in members:
-                return k
-        raise ValueError(f"{a} is not in any class (is it 0 mod {self.p}?)")
-
 
 def build_system(p: int, alpha: int | None = None) -> CyclotomicSystem:
     """Build the order-4 cyclotomic system for p; ``alpha`` defaults to the

@@ -53,18 +53,6 @@ class AffineWitness:
     d: int
     t: int
 
-    @classmethod
-    def negation(cls, period: int) -> "AffineWitness":
-        return cls(1, period)
-
-    @classmethod
-    def nega_shift(cls, tau: int) -> "AffineWitness":
-        return cls(1, tau)
-
-    @classmethod
-    def nega_decimation(cls, d: int) -> "AffineWitness":
-        return cls(d, 0)
-
 
 def apply_witness(w: AffineWitness, s: BinarySequence) -> BinarySequence:
     """s'(i) = u(d*i + t mod 2N) with u = s || (s + 1)."""

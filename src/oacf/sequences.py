@@ -192,12 +192,10 @@ class CorrelationProfile:
 class ValueMultiset:
     """Multiset of integer correlation values with multiplicities."""
 
-    __slots__ = ("entries", "shifts_counted")
+    __slots__ = ("entries",)
 
     def __init__(self, values):
-        vals = list(values)
-        self.entries: dict[int, int] = dict(sorted(Counter(vals).items()))
-        self.shifts_counted = len(vals)
+        self.entries: dict[int, int] = dict(sorted(Counter(values).items()))
 
     def multiset_notation(self) -> str:
         """Render as ``{* (-9)^2, -3, 1^6, 31 *}`` (exponent = multiplicity)."""

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oacf
 from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
 from oacf.cli import main
 
@@ -318,6 +323,7 @@ ERROR_CASES = [
     (["equiv", "0" * (MAX_N + 1), "01"], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
     (["classify", "a=01", "b=" + "0" * (MAX_N + 1)], 2,
      f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
+    (["classify", "a=0110", "b=1001", "--alpha", "999999"], 2, "--alpha applies only with --parker P"),
 ]
 
 
@@ -336,6 +342,28 @@ def test_period_above_limit_on_stdin_exits_2(capsys, monkeypatch, command):
     assert run_cli(capsys, command, "-") == (
         2, "", f"error: period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["equiv", "classify"])
+def test_second_stdin_dash_exits_2_before_reading(capsys, monkeypatch, command):
+    stdin = io.StringIO("0110\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run_cli(capsys, command, "-", "-") == (
+        2, "", "error: '-' (stdin) may be given at most once\n"
+    )
+    assert stdin.read() == "0110\n"
+
+
+def test_python_m_runs_the_cli(capsys):
+    def run_module(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(oacf.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "oacf.cli", *args], env=env,
+                              capture_output=True, text=True)
+
+    out = run_module("oacf", "1110100011")
+    assert (out.returncode, out.stdout, out.stderr) == run_cli(capsys, "oacf", "1110100011")
+    assert out.stdout == "10 0 -2 -4 2 0 -2 4 2 0\n"
+    assert run_module("equiv", goldens.PAIR10_A, goldens.PAIR10_B).returncode == 4
 
 
 def test_undecodable_stdin_exits_2(capsys, monkeypatch):

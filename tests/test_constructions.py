@@ -216,15 +216,6 @@ class TestVerifyTable:
         assert d["computed"] == sorted(d["computed"])
         assert "PASS" in report.text_line()
 
-    def test_template_text(self):
-        assert construction_spec(1).template_text() == "{0, +-2, +-4, +-(2x+4y)}"
-        assert construction_spec(9).template_text() == (
-            "{0, +-2, +-2y, +-4y, +-(4y+8)}"
-        )
-        assert construction_spec(10).template_text() == (
-            "{0, +-2, +-2y, +-4y, +-(4y-8)}"
-        )
-
     def test_oacf_profile_antisymmetry_on_construction(self):
         s, _ = construct(2, 17)
         profile = oacf_profile(s).values

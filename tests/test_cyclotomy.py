@@ -113,10 +113,9 @@ class TestSystem:
 
     def test_class_of(self):
         sys13 = build_system(13)
-        assert sys13.class_of(9) == 0
-        assert sys13.class_of(11) == 3
-        with pytest.raises(ValueError):
-            sys13.class_of(0)
+        assert 9 in sys13.classes[0]
+        assert 11 in sys13.classes[3]
+        assert not any(0 in members for members in sys13.classes)
 
     def test_f_parity_matches_residue_mod_8(self):
         for p in primes_1_mod_4(200):

@@ -56,7 +56,7 @@ class TestApplyWitness:
         rng = random.Random(30)
         for _ in range(15):
             s = random_sequence(rng, rng.randrange(1, 40))
-            assert apply_witness(AffineWitness.negation(s.period), s) == negate(s)
+            assert apply_witness(AffineWitness(1, s.period), s) == negate(s)
 
     def test_nega_shift_form(self):
         rng = random.Random(31)
@@ -64,7 +64,7 @@ class TestApplyWitness:
             n = rng.randrange(2, 40)
             s = random_sequence(rng, n)
             tau = rng.randrange(n)
-            assert apply_witness(AffineWitness.nega_shift(tau), s) == nega_cyclic_shift(s, tau)
+            assert apply_witness(AffineWitness(1, tau), s) == nega_cyclic_shift(s, tau)
 
     def test_nega_decimation_form(self):
         rng = random.Random(32)
@@ -72,7 +72,7 @@ class TestApplyWitness:
             n = rng.randrange(1, 40)
             s = random_sequence(rng, n)
             d = random_unit(rng, 2 * n)
-            assert apply_witness(AffineWitness.nega_decimation(d), s) == nega_decimate(s, d)
+            assert apply_witness(AffineWitness(d, 0), s) == nega_decimate(s, d)
 
     def test_period31_witness(self):
         assert apply_witness(AffineWitness(3, 0), seq(goldens.SEQ31)) == seq(
