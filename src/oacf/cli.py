@@ -254,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, alpha=False):
+    alpha_help = "override the generator of GF(p)* (default: smallest primitive root)"
+
+    def command(name, handler, summary, alpha=None):
+        # alpha: the --alpha help text, or None for a subcommand without it
         p = sub.add_parser(name, help=summary)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if alpha:
-            p.add_argument(
-                "--alpha", type=int, default=None,
-                help="override the generator of GF(p)* (default: smallest primitive root)",
-            )
+        if alpha is not None:
+            p.add_argument("--alpha", type=int, default=None, help=alpha)
         p.set_defaults(handler=handler)
         return p
 
@@ -277,21 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shift amount or decimation parameter")
 
     p = command("construct", _cmd_construct,
-                "build one of the sixteen period-4p constructions", alpha=True)
+                "build one of the sixteen period-4p constructions", alpha=alpha_help)
     p.add_argument("index", type=int, help="construction index in [1, 16]")
     p.add_argument("p", type=int, help="prime with p = 1 (mod 4)")
     p.add_argument("--emit-u", action="store_true",
                    help="also print the doubled characteristic sequence")
 
     p = command("verify", _cmd_verify,
-                "check constructions against their value sets and pairings", alpha=True)
+                "check constructions against their value sets and pairings",
+                alpha=alpha_help + "; needs exactly one prime in --primes")
     p.add_argument("--tables", action="store_true", help="only the value-set checks")
     p.add_argument("--table4", action="store_true", help="only the pairing relations")
     p.add_argument("--primes", type=_parse_primes, default=None,
                    help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")
 
     p = command("classify", _cmd_classify,
-                "partition sequences into OACF-equivalence classes", alpha=True)
+                "partition sequences into OACF-equivalence classes",
+                alpha=alpha_help + "; needs --parker P")
     p.add_argument("sequences", nargs="*",
                    help="literals or label=literal entries; '-' reads lines from stdin")
     p.add_argument("--parker", type=int, metavar="P", default=None,

@@ -10,13 +10,14 @@ u(i) = u(i + 4p) + 1, so u splits as s || (s + 1) with s of period N = 4p.
 and one 256-byte table per construction; ``build_support`` in
 ``tests/oracle.py`` states it literally.
 
-``verify_table`` checks the distinct OACF values of s against the family's
-symbolic value set instantiated with the quartic decomposition (x, y),
-accepting a uniform sign flip of y (the tables fix no sign convention).
+``verify_table`` checks the distinct OACF values of s, read from one shift
+per cyclotomic orbit, against the family's symbolic value set instantiated
+with the quartic decomposition (x, y), accepting a uniform sign flip of y
+(the tables fix no sign convention).
 """
 
 from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, complement_cset_index
-from .sequences import BinarySequence, _record, oacf_distribution, try_parker_split
+from .sequences import BinarySequence, _correlations_at, _record, nega_decimate, try_parker_split
 
 __all__ = [
     "ConstructionSpec",
@@ -222,11 +223,31 @@ def _instantiate(terms, x: int, y: int) -> tuple[int, ...]:
 
 def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationReport:
     """Compare the distinct OACF values of construction ``index`` at p with
-    the row's symbolic value set, under either sign of y."""
+    the row's symbolic value set, under either sign of y.
+
+    ``computed`` is read from one shift per cyclotomic orbit, 19 in all.
+    Each support set is a union of the orbits (n, {0}) and (n, D_k) of
+    Z_8 x Z_p under multiplication by (1, alpha^4), so s is fixed by the
+    nega-decimation d = eta(1, alpha^4), and its OACF, extended to Z_8p by
+    OACF(tau + 4p) = -OACF(tau), is constant on every orbit tau -> d*tau.
+    The shifts eta(k, a) != 0 for k in {0, 1, 2, 3} and a in {0, 1, alpha,
+    alpha^2, alpha^3} meet every other orbit, or its move by 4p, which
+    negates the value; so their values, closed under negation, are the
+    values at every tau in [1, 4p).  A construction that misses the fixed
+    point is an internal error.
+    """
     system = build_system(p, alpha)
     spec = construction_spec(index)
     s, _ = construct_in(system, index)
-    computed = tuple(oacf_distribution(s, include_zero_shift=False).entries)
+    eta, _ = crt_iso(p)
+    a = system.alpha
+    if nega_decimate(s, eta(1, pow(a, 4, p))) != s:
+        raise RuntimeError("construction not fixed by nega-decimation eta(1, alpha^4) (internal error)")
+    n = s.period
+    reps = (0, 1, a, a * a % p, pow(a, 3, p))
+    shifts = {eta(k, r) % n for k in range(4) for r in reps} - {0}
+    values = set(_correlations_at(s.word, n, -1, shifts))
+    computed = tuple(sorted(values | {-v for v in values}))
     plus = _instantiate(spec.value_terms, system.x, system.y)
     minus = _instantiate(spec.value_terms, system.x, -system.y)
     full_size = 2 * len(spec.value_terms) - 1  # 0 contributes one value

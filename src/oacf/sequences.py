@@ -274,15 +274,20 @@ def oacf(a: BinarySequence, tau: int) -> int:
     return n - diff.bit_count()
 
 
-def _correlations(word: int, m: int, sign: int) -> list[int]:
-    """Correlation of the m-bit ``word`` with its shifts at every tau < m:
-    the PACF for sign = 1, where s(i + m) = s(i), and the OACF for
-    sign = -1, where s(i + m) = s(i) + 1.  The value at m - tau is sign
-    times the value at tau, so only tau <= m/2 is computed."""
+def _correlations_at(word: int, m: int, sign: int, shifts) -> list[int]:
+    """Correlation of the m-bit ``word`` with its shift by each tau in
+    ``shifts`` (0 <= tau < m): the PACF for sign = 1, where s(i + m) = s(i),
+    and the OACF for sign = -1, where s(i + m) = s(i) + 1."""
     mask = _mask(m)
     tail = word if sign == 1 else word ^ mask
     ww = word | (tail << m)
-    half = [m - 2 * (word ^ ((ww >> tau) & mask)).bit_count() for tau in range(m // 2 + 1)]
+    return [m - 2 * (word ^ ((ww >> tau) & mask)).bit_count() for tau in shifts]
+
+
+def _correlations(word: int, m: int, sign: int) -> list[int]:
+    """``_correlations_at`` every tau < m.  The value at m - tau is sign
+    times the value at tau, so only tau <= m/2 is computed."""
+    half = _correlations_at(word, m, sign, range(m // 2 + 1))
     return half + [sign * value for value in reversed(half[1:(m + 1) // 2])]
 
 

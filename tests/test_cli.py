@@ -204,6 +204,11 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --primes: bad prime list {primes!r}\n")
 
+    def test_tables_at_the_largest_usable_prime(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--tables", "--primes", "9973")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["tables: 12/12 rows passed", "verify: PASS"]
+
     def test_alpha_needs_single_prime(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--tables", "--alpha", "2")
         assert code == 2
@@ -390,3 +395,18 @@ def test_help_usage_line(capsys, monkeypatch, argv, usage):
     code, out, _ = run_cli(capsys, *argv, "--help")
     assert code == 0
     assert out.splitlines()[0] == usage
+
+
+_ALPHA_HELP = "--alpha ALPHA override the generator of GF(p)* (default: smallest primitive root)"
+
+
+@pytest.mark.parametrize("command, alpha_help", [
+    ("construct", f"{_ALPHA_HELP} --emit-u"),
+    ("verify", f"{_ALPHA_HELP}; needs exactly one prime in --primes --tables"),
+    ("classify", f"{_ALPHA_HELP}; needs --parker P --parker P"),
+])
+def test_alpha_help_names_its_condition(capsys, monkeypatch, command, alpha_help):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert alpha_help in " ".join(out.split())

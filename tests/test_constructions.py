@@ -11,8 +11,10 @@ from oacf import (
     expand_g,
     expand_gamma_indices,
     is_applicable,
+    is_prime,
     is_primitive_root,
     oacf,
+    oacf_distribution,
     oacf_profile,
     pacf,
     parker_double,
@@ -215,6 +217,36 @@ class TestVerifyTable:
         assert d["index"] == 1 and d["p"] == 17 and d["matched"] is True
         assert d["computed"] == sorted(d["computed"])
         assert "PASS" in report.text_line()
+
+    @staticmethod
+    def _full_value_set(index, p, alpha=None):
+        s, _ = construct(index, p, alpha)
+        return tuple(oacf_distribution(s, include_zero_shift=False).entries)
+
+    def test_orbit_values_match_full_profile(self):
+        # the 19 orbit shifts against every shift tau in [1, 4p)
+        primes = [p for p in range(5, 401) if is_prime(p) and p % 4 == 1]
+        for p in primes:
+            for index in range(1, 17):
+                if is_applicable(index, p):
+                    full = self._full_value_set(index, p)
+                    assert verify_table(index, p).computed == full, (index, p)
+        for p in (13, 29, 37):
+            for alpha in filter(lambda g: is_primitive_root(g, p), range(2, p)):
+                for index in range(5, 17):
+                    full = self._full_value_set(index, p, alpha)
+                    assert verify_table(index, p, alpha).computed == full, (index, p, alpha)
+
+    def test_sequence_off_the_fixed_point_is_an_internal_error(self, monkeypatch):
+        import oacf.constructions
+
+        def flipped(system, index, construct_in=oacf.constructions.construct_in):
+            s, u = construct_in(system, index)
+            return type(s)(s.word ^ 0b10, s.period), u
+
+        monkeypatch.setattr(oacf.constructions, "construct_in", flipped)
+        with pytest.raises(RuntimeError, match="not fixed by nega-decimation"):
+            verify_table(9, 13)
 
     def test_oacf_profile_antisymmetry_on_construction(self):
         s, _ = construct(2, 17)
