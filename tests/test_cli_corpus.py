@@ -1,0 +1,157 @@
+"""Golden CLI corpus: every subcommand's text and JSON output, every
+``apply`` operation, the error paths and every ``--help``, replayed
+in-process through ``oacf.cli.main`` and compared byte for byte (stdout,
+stderr and exit code) with ``cli_corpus.json``.
+
+A change that must keep the CLI's output the same leaves the corpus as it
+is.  A change that means to alter the output records it again, and the
+diff of the JSON file shows what changed:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+Help text and argparse's usage errors are formatted by the interpreter's
+argparse, so those cases are compared only under the Python version that
+recorded them (``COLUMNS`` is pinned to 80 for both runs).
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from oacf.cli import main
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
+COLUMNS = "80"
+
+SEQ31 = "0111101010" "0010011100" "00011001011"
+SEQ31_NEGADEC3 = "0110110011" "1010110101" "01100010000"
+SEQ31_NEGATED = "1000010101" "1101100011" "11100110100"
+PAIR10_A, PAIR10_B = "1110100011", "1001101110"
+
+# (argv, stdin or None)
+INVOCATIONS = [
+    (["oacf", PAIR10_A], None),
+    (["oacf", PAIR10_A, "--json"], None),
+    (["oacf", SEQ31, "--distribution"], None),
+    (["oacf", SEQ31, "--distribution", "--json"], None),
+    (["oacf", "01", "--pacf"], None),
+    (["oacf", "0110101", "--pacf", "--distribution", "--json"], None),
+    (["oacf", "-"], PAIR10_A + "\n"),
+    (["oacf", "0102"], None),
+    (["oacf", ""], None),
+    (["apply", "negate", PAIR10_A], None),
+    (["apply", "negate", PAIR10_A, "--json"], None),
+    (["apply", "shift", PAIR10_A, "3"], None),
+    (["apply", "shift", PAIR10_A, "3", "--json"], None),
+    (["apply", "negashift", PAIR10_A, "3"], None),
+    (["apply", "negashift", PAIR10_A, "3", "--json"], None),
+    (["apply", "decimate", PAIR10_A, "3"], None),
+    (["apply", "decimate", PAIR10_A, "3", "--json"], None),
+    (["apply", "decimate", "0110101", "-3"], None),
+    (["apply", "decimate", "0110101", "10"], None),
+    (["apply", "negadecimate", SEQ31, "3"], None),
+    (["apply", "negadecimate", SEQ31, "3", "--json"], None),
+    (["apply", "negadecimate", "0110101", "-3"], None),
+    (["apply", "negadecimate", "0110101", "31"], None),
+    (["apply", "decimate", PAIR10_A, "2"], None),
+    (["apply", "negadecimate", PAIR10_A, "5"], None),
+    (["apply", "negadecimate", PAIR10_A, "5", "--json"], None),
+    (["apply", "shift", PAIR10_A], None),
+    (["apply", "negate", PAIR10_A, "3"], None),
+    (["apply", "shift", PAIR10_A, "10"], None),
+    (["apply", "negashift", "0110101", "-1"], None),
+    (["apply", "rotate", PAIR10_A, "1"], None),
+    (["construct", "5", "13"], None),
+    (["construct", "5", "13", "--emit-u", "--json"], None),
+    (["construct", "1", "17", "--emit-u"], None),
+    (["construct", "5", "13", "--alpha", "6"], None),
+    (["construct", "1", "13"], None),
+    (["construct", "5", "15"], None),
+    (["verify"], None),
+    (["verify", "--json"], None),
+    (["verify", "--tables", "--primes", "1009"], None),
+    (["verify", "--table4", "--primes", "17,13"], None),
+    (["verify", "--table4", "--primes", "17,13", "--json"], None),
+    (["verify", "--tables", "--primes", "13", "--alpha", "6", "--json"], None),
+    (["verify", "--primes", "4,13"], None),
+    (["verify", "--primes", "13,x"], None),
+    (["verify", "--alpha", "2"], None),
+    (["classify", "--parker", "13"], None),
+    (["classify", "--parker", "13", "--json"], None),
+    (["classify", "--parker", "29"], None),
+    (["classify", "--parker", "37"], None),
+    (["classify", "a=" + SEQ31, "b=" + SEQ31_NEGADEC3, "c=" + PAIR10_A + "0" * 21], None),
+    (["classify", PAIR10_A, PAIR10_B, "--json"], None),
+    (["classify", "-"], "x=0110101\n\ny=1011010\n"),
+    (["classify"], None),
+    (["classify", "--parker", "13", "a=01"], None),
+    (["equiv", SEQ31, SEQ31_NEGADEC3], None),
+    (["equiv", SEQ31, SEQ31_NEGADEC3, "--json"], None),
+    (["equiv", PAIR10_A, PAIR10_B], None),
+    (["equiv", PAIR10_A, PAIR10_B, "--json"], None),
+    (["equiv", SEQ31, SEQ31_NEGATED, "--without-negadecimation"], None),
+    (["equiv", SEQ31, SEQ31_NEGADEC3, "--without-negadecimation", "--json"], None),
+    (["equiv", "01", "011"], None),
+    (["equiv", "-", "-"], "01\n"),
+    ([], None),
+    (["--help"], None),
+    (["oacf", "--help"], None),
+    (["apply", "--help"], None),
+    (["construct", "--help"], None),
+    (["verify", "--help"], None),
+    (["classify", "--help"], None),
+    (["equiv", "--help"], None),
+]
+
+
+def run(argv, stdin=None) -> dict:
+    """One in-process invocation: its exit code, stdout and stderr, and
+    whether argparse ended it (help or a usage error)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, by_argparse = main(list(argv)), False
+            except SystemExit as exc:
+                code, by_argparse = exc.code, True
+    finally:
+        sys.stdin = saved_stdin
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "argparse": by_argparse}
+
+
+def _python() -> str:
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
+def record() -> None:
+    os.environ["COLUMNS"] = COLUMNS
+    cases = [dict(argv=argv, stdin=stdin, **run(argv, stdin)) for argv, stdin in INVOCATIONS]
+    CORPUS.write_text(json.dumps({"python": _python(), "cases": cases}, indent=1) + "\n")
+
+
+# a missing corpus fails test_corpus_covers_the_invocations rather than the import
+_corpus = json.loads(CORPUS.read_text()) if CORPUS.exists() else {"python": "", "cases": []}
+
+
+@pytest.mark.parametrize("case", _corpus["cases"], ids=lambda case: " ".join(case["argv"])[:60] or "(none)")
+def test_cli_output_is_unchanged(case, monkeypatch):
+    if case["argparse"] and _corpus["python"] != _python():
+        pytest.skip(f"argparse output recorded under Python {_corpus['python']}")
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    expected = {key: case[key] for key in ("exit", "stdout", "stderr", "argparse")}
+    assert run(case["argv"], case["stdin"]) == expected
+
+
+def test_corpus_covers_the_invocations():
+    assert [(case["argv"], case["stdin"]) for case in _corpus["cases"]] == INVOCATIONS
+
+
+if __name__ == "__main__":
+    record()
