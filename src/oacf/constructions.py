@@ -17,7 +17,7 @@ with the quartic decomposition (x, y), accepting a uniform sign flip of y
 """
 
 from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, complement_cset_index
-from .sequences import BinarySequence, _correlations_at, _record, nega_decimate, try_parker_split
+from .sequences import BinarySequence, _correlations_at, _from_text, _record, nega_decimate, try_parker_split
 
 __all__ = [
     "ConstructionSpec",
@@ -164,7 +164,7 @@ def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, 
     # byte z is 5*(z mod 8) + cls[z mod p] <= 39, so the two addends never carry
     codes = int.from_bytes(bytes(range(0, 40, 5)) * p, "little") + int.from_bytes(cls * 8, "little")
     text = codes.to_bytes(8 * p, "little").translate(_CODE_TABLES[index - 1])
-    u = BinarySequence(int(text[::-1], 2), 8 * p)
+    u = _from_text(text)
     s = try_parker_split(u)
     if s is None:
         raise RuntimeError("support violates the half-period complement rule (internal error)")
@@ -246,7 +246,7 @@ def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationRe
     n = s.period
     reps = (0, 1, a, a * a % p, pow(a, 3, p))
     shifts = {eta(k, r) % n for k in range(4) for r in reps} - {0}
-    values = set(_correlations_at(s.word, n, -1, shifts))
+    values = set(_correlations_at(s, -1, shifts))
     computed = tuple(sorted(values | {-v for v in values}))
     plus = _instantiate(spec.value_terms, system.x, system.y)
     minus = _instantiate(spec.value_terms, system.x, -system.y)

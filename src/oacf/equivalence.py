@@ -17,11 +17,11 @@ from .constructions import construct_in, crt_iso
 from .cyclotomy import build_system
 from .sequences import (
     BinarySequence,
-    NotCoprimeError,
-    _affine_image,
     _bit_text,
     _correlations,
-    _doubled_word,
+    _extended,
+    _gather,
+    _gathered,
     _record,
     negate,
     nega_decimate,
@@ -56,14 +56,7 @@ class AffineWitness:
 
 def apply_witness(w: AffineWitness, s: BinarySequence) -> BinarySequence:
     """s'(i) = u(d*i + t mod 2N) with u = s || (s + 1)."""
-    n = s.period
-    two_n = 2 * n
-    if math.gcd(w.d, two_n) != 1:
-        raise NotCoprimeError(
-            f"gcd(d={w.d}, 2N={two_n}) = {math.gcd(w.d, two_n)}; "
-            "witnesses require gcd(d, 2N) = 1"
-        )
-    return BinarySequence(_affine_image(_doubled_word(s), two_n, w.d, w.t, n), n)
+    return _gathered(s, w.d, w.t, -1, "witnesses require")
 
 
 def compose(first: AffineWitness, second: AffineWitness, period: int) -> AffineWitness:
@@ -94,8 +87,13 @@ def _doubled_profile(s: BinarySequence) -> list[int]:
     The first half is twice the OACF of s; u(i + N) = u(i) + 1, so the
     second half is the first half negated.
     """
-    half = [2 * value for value in _correlations(s.word, s.period, -1)]
+    half = [2 * value for value in _correlations(s, -1)]
     return half + [-value for value in half]
+
+
+def _doubled_text(s: BinarySequence) -> str:
+    # bit text of u = s || (s + 1)
+    return _bit_text(_extended(s, -1), 2 * s.period)
 
 
 def _smallest_shift(text: str, target: str, d: int, two_n: int) -> int | None:
@@ -127,18 +125,16 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     """
     _check_periods(s, s_prime)
     two_n = 2 * s.period
-    u, v = _doubled_word(s), _doubled_word(s_prime)
     pu, pv = _doubled_profile(s), _doubled_profile(s_prime)
     if sorted(pu) != sorted(pv):
         return None
-    target = _bit_text(v, two_n)
+    text, target = _doubled_text(s), _doubled_text(s_prime)
     for d in _unit_range(two_n):
         for tau in range(1, two_n // 2):
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
-            decimated = _bit_text(_affine_image(u, two_n, d, 0, two_n), two_n)
-            t = _smallest_shift(decimated, target, d, two_n)
+            t = _smallest_shift(_gather(text, d, 0, two_n), target, d, two_n)
             if t is not None:
                 return AffineWitness(d, t)
     return None
@@ -148,10 +144,7 @@ def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence)
     """True iff some witness with d = 1 maps s to s_prime, i.e. s_prime lies
     in the orbit of s under negation and nega-cyclic shifts alone."""
     _check_periods(s, s_prime)
-    two_n = 2 * s.period
-    text = _bit_text(_doubled_word(s), two_n)
-    target = _bit_text(_doubled_word(s_prime), two_n)
-    return _smallest_shift(text, target, 1, two_n) is not None
+    return _smallest_shift(_doubled_text(s), _doubled_text(s_prime), 1, 2 * s.period) is not None
 
 
 @_record()
@@ -316,20 +309,13 @@ def verify_table4(
     if sys_odd.f % 2 != 1:
         raise ValueError(f"p_odd_f={p_odd_f} has even f={sys_odd.f}")
 
-    cache: dict[tuple[int, int], BinarySequence] = {}
-
-    def built(system, index):
-        key = (system.p, index)
-        if key not in cache:
-            cache[key], _ = construct_in(system, index)
-        return cache[key]
-
+    # each index appears in one relation only, so each construction is built once
+    even, odd = ((system, crt_iso(system.p)[0]) for system in (sys_even, sys_odd))
     rows = []
     for row, i_src, i_tgt, exponent, negate_first in TABLE4_RELATIONS:
-        system = sys_even if i_src <= 4 else sys_odd
-        source = built(system, i_src)
-        target = built(system, i_tgt)
-        eta, _ = crt_iso(system.p)
+        system, eta = even if i_src <= 4 else odd
+        source, _ = construct_in(system, i_src)
+        target, _ = construct_in(system, i_tgt)
         two_n = 2 * source.period
         d_printed = eta(1, pow(system.alpha, exponent, system.p))
         d_inverse = pow(d_printed, -1, two_n)

@@ -1,10 +1,12 @@
 """Binary periodic sequences and their correlation functions.
 
 A sequence of period N is stored bit-packed in a single Python int (bit i
-holds element i), so both correlation kernels reduce to rotate / XOR /
-popcount on arbitrary-precision words.  The doubled form s||(s+1) turns the
-odd-periodic autocorrelation (OACF) into an ordinary periodic one: the PACF
-of the doubled sequence at shift tau is twice the OACF of s at tau.
+holds element i).  Every operation reads the sequence continued to Z_2N:
+s || s for the periodic ones and s || (s + 1) for the odd-periodic ones, on
+which the wrap of an index past N carries the sign flip of the odd-periodic
+autocorrelation (OACF).  A shift is then a window of that 2N-bit word, a
+correlation a window / XOR / popcount, and a decimation a gather of its bit
+text, all on arbitrary-precision words and strings.
 
 All operations are pure functions returning new sequences; a BinarySequence
 is immutable, hashable, and safe to share across threads.
@@ -143,7 +145,7 @@ class BinarySequence:
         digits = text.translate(_DROP_SEPARATORS)
         if not digits:
             raise SequenceParseError("empty sequence literal", 0)
-        return cls(int(digits[::-1], 2), len(digits))
+        return _from_text(digits)
 
     def bits(self) -> list[int]:
         return list(map(int, _bit_text(self.word, self.period)))
@@ -228,24 +230,40 @@ def _bit_text(word: int, n: int) -> str:
     return format(word, f"0{n}b")[::-1]
 
 
-def _affine_image(word: int, m: int, d: int, t: int, n: int) -> int:
-    """n-bit word whose bit i is bit (d*i + t) mod m of the m-bit ``word``,
-    gathered from its bit text at C speed (for n = 1, itemgetter returns the
-    one character itself, which join takes as well)."""
-    picked = itemgetter(*map(mod, count(t, d), repeat(m, n)))(_bit_text(word, m))
-    return int("".join(picked)[::-1], 2)
+def _from_text(text) -> BinarySequence:
+    # inverse of _bit_text, for str or bytes text
+    return BinarySequence(int(text[::-1], 2), len(text))
 
 
-def _rotated(word: int, n: int, tau: int) -> int:
-    # b(i) = a((i + tau) mod n) on an n-bit word
-    if tau == 0:
-        return word
-    return ((word >> tau) | (word << (n - tau))) & _mask(n)
+def _extended(a: BinarySequence, sign: int) -> int:
+    """The sequence continued to Z_2N, as the 2N-bit word of a || a for
+    sign = 1, where a(i + N) = a(i), or of a || (a + 1) for sign = -1, where
+    a(i + N) = a(i) + 1.  Every shift, decimation and correlation below
+    reads its indices mod 2N from this word: the cyclic ones with sign = 1,
+    the nega-cyclic (odd-periodic) ones with sign = -1."""
+    tail = a.word if sign == 1 else a.word ^ _mask(a.period)
+    return a.word | (tail << a.period)
 
 
-def _doubled_word(a: BinarySequence) -> int:
-    # 2N-bit word of a || (a + 1)
-    return a.word | ((a.word ^ _mask(a.period)) << a.period)
+def _gather(text: str, d: int, t: int, n: int) -> str:
+    """Characters (d*i + t) mod len(text) of ``text`` for i < n, picked at C
+    speed (for n = 1, itemgetter returns the one character itself, which
+    join takes as well)."""
+    return "".join(itemgetter(*map(mod, count(t, d), repeat(len(text), n)))(text))
+
+
+def _gathered(a: BinarySequence, d: int, t: int, sign: int, requirement: str) -> BinarySequence:
+    """b(i) = e(d*i + t) for i < N over the continued word e of ``a``; d
+    must be a unit mod N (sign = 1) or mod 2N (sign = -1), and
+    ``requirement`` names the operation in the error."""
+    n = a.period
+    modulus, name = (n, "N") if sign == 1 else (2 * n, "2N")
+    if math.gcd(d, modulus) != 1:
+        raise NotCoprimeError(
+            f"gcd(d={d}, {name}={modulus}) = {math.gcd(d, modulus)}; "
+            f"{requirement} gcd(d, {name}) = 1"
+        )
+    return _from_text(_gather(_bit_text(_extended(a, sign), 2 * n), d, t, n))
 
 
 def _check_shift(tau: int, n: int) -> None:
@@ -253,50 +271,47 @@ def _check_shift(tau: int, n: int) -> None:
         raise ValueError(f"shift {tau} out of range [0, {n})")
 
 
+def _window(a: BinarySequence, sign: int, tau: int) -> BinarySequence:
+    # b(i) = e(i + tau) for i < N over the continued word e of ``a``
+    _check_shift(tau, a.period)
+    return BinarySequence((_extended(a, sign) >> tau) & _mask(a.period), a.period)
+
+
+def _correlations_at(a: BinarySequence, sign: int, shifts) -> list[int]:
+    """Correlation of ``a`` with its window at each tau in ``shifts``
+    (0 <= tau < N): the PACF for sign = 1 and the OACF for sign = -1."""
+    n, word, mask = a.period, a.word, _mask(a.period)
+    ext = _extended(a, sign)
+    return [n - 2 * (word ^ ((ext >> tau) & mask)).bit_count() for tau in shifts]
+
+
+def _correlations(a: BinarySequence, sign: int) -> list[int]:
+    """``_correlations_at`` every tau < N.  The value at N - tau is sign
+    times the value at tau, so only tau <= N/2 is computed."""
+    n = a.period
+    half = _correlations_at(a, sign, range(n // 2 + 1))
+    return half + [sign * value for value in reversed(half[1:(n + 1) // 2])]
+
+
 def pacf(a: BinarySequence, tau: int) -> int:
     """Periodic autocorrelation of ``a`` at shift ``tau``."""
-    n = a.period
-    _check_shift(tau, n)
-    diff = a.word ^ _rotated(a.word, n, tau)
-    return n - 2 * diff.bit_count()
+    _check_shift(tau, a.period)
+    return _correlations_at(a, 1, (tau,))[0]
 
 
 def oacf(a: BinarySequence, tau: int) -> int:
-    """Odd-periodic (negaperiodic) autocorrelation of ``a`` at shift ``tau``.
-
-    Terms that wrap past the period pick up an extra sign flip; computed as
-    half the PACF of the doubled sequence a || (a + 1).
-    """
-    n = a.period
-    _check_shift(tau, n)
-    u = _doubled_word(a)
-    diff = u ^ _rotated(u, 2 * n, tau)
-    return n - diff.bit_count()
-
-
-def _correlations_at(word: int, m: int, sign: int, shifts) -> list[int]:
-    """Correlation of the m-bit ``word`` with its shift by each tau in
-    ``shifts`` (0 <= tau < m): the PACF for sign = 1, where s(i + m) = s(i),
-    and the OACF for sign = -1, where s(i + m) = s(i) + 1."""
-    mask = _mask(m)
-    tail = word if sign == 1 else word ^ mask
-    ww = word | (tail << m)
-    return [m - 2 * (word ^ ((ww >> tau) & mask)).bit_count() for tau in shifts]
-
-
-def _correlations(word: int, m: int, sign: int) -> list[int]:
-    """``_correlations_at`` every tau < m.  The value at m - tau is sign
-    times the value at tau, so only tau <= m/2 is computed."""
-    half = _correlations_at(word, m, sign, range(m // 2 + 1))
-    return half + [sign * value for value in reversed(half[1:(m + 1) // 2])]
+    """Odd-periodic (negaperiodic) autocorrelation of ``a`` at shift ``tau``:
+    terms that wrap past the period pick up an extra sign flip."""
+    _check_shift(tau, a.period)
+    return _correlations_at(a, -1, (tau,))[0]
 
 
 def pacf_profile(a: BinarySequence) -> CorrelationProfile:
-    return CorrelationProfile(tuple(_correlations(a.word, a.period, 1)), "PACF")
+    return CorrelationProfile(tuple(_correlations(a, 1)), "PACF")
 
 
 def oacf_profile(a: BinarySequence) -> CorrelationProfile:
-    return CorrelationProfile(tuple(_correlations(a.word, a.period, -1)), "OACF")
+    return CorrelationProfile(tuple(_correlations(a, -1)), "OACF")
 
 
 def oacf_distribution(a: BinarySequence, include_zero_shift: bool = True) -> ValueMultiset:
@@ -325,31 +340,23 @@ def negate(a: BinarySequence) -> BinarySequence:
 
 def cyclic_shift(a: BinarySequence, tau: int) -> BinarySequence:
     """[a(tau), ..., a(N-1), a(0), ..., a(tau-1)]"""
-    _check_shift(tau, a.period)
-    return BinarySequence(_rotated(a.word, a.period, tau), a.period)
+    return _window(a, 1, tau)
 
 
 def nega_cyclic_shift(a: BinarySequence, tau: int) -> BinarySequence:
     """Cyclic shift by ``tau`` that complements the wrapped prefix:
     [a(tau), ..., a(N-1), a(0)+1, ..., a(tau-1)+1]."""
-    n = a.period
-    _check_shift(tau, n)
-    return BinarySequence(_rotated(_doubled_word(a), 2 * n, tau) & _mask(n), n)
+    return _window(a, -1, tau)
 
 
 def decimate(a: BinarySequence, d: int) -> BinarySequence:
     """b(i) = a(d*i mod N); requires gcd(d, N) = 1."""
-    n = a.period
-    if math.gcd(d, n) != 1:
-        raise NotCoprimeError(
-            f"gcd(d={d}, N={n}) = {math.gcd(d, n)}; decimation requires gcd(d, N) = 1"
-        )
-    return BinarySequence(_affine_image(a.word, n, d, 0, n), n)
+    return _gathered(a, d, 0, 1, "decimation requires")
 
 
 def parker_double(s: BinarySequence) -> BinarySequence:
     """The doubled sequence u = s || (s + 1) of period 2N."""
-    return BinarySequence(_doubled_word(s), 2 * s.period)
+    return BinarySequence(_extended(s, -1), 2 * s.period)
 
 
 def try_parker_split(u: BinarySequence) -> BinarySequence | None:
@@ -357,11 +364,8 @@ def try_parker_split(u: BinarySequence) -> BinarySequence | None:
     all i < N; None otherwise."""
     if u.period % 2:
         return None
-    n = u.period // 2
-    low = u.word & _mask(n)
-    if (u.word >> n) != low ^ _mask(n):
-        return None
-    return BinarySequence(low, n)
+    s = BinarySequence(u.word & _mask(u.period // 2), u.period // 2)
+    return s if _extended(s, -1) == u.word else None
 
 
 def nega_decimate(s: BinarySequence, d: int) -> BinarySequence:
@@ -370,10 +374,4 @@ def nega_decimate(s: BinarySequence, d: int) -> BinarySequence:
     Equals decimating the doubled sequence s || (s + 1) by d and truncating
     to the first half; requires gcd(d, 2N) = 1.
     """
-    n = s.period
-    if math.gcd(d, 2 * n) != 1:
-        raise NotCoprimeError(
-            f"gcd(d={d}, 2N={2 * n}) = {math.gcd(d, 2 * n)}; "
-            "nega-decimation requires gcd(d, 2N) = 1"
-        )
-    return BinarySequence(_affine_image(_doubled_word(s), 2 * n, d, 0, n), n)
+    return _gathered(s, d, 0, -1, "nega-decimation requires")

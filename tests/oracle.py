@@ -8,7 +8,9 @@ implementations, kept as differential oracles of the faster ones:
 ``_decimate_word`` the per-bit decimation loop,
 ``build_support`` the literal support set of a construction, with
 ``characteristic_reference`` its per-residue construction word, and
-``oacf_equivalent_reference`` the unpruned witness search.
+``oacf_equivalent_reference`` the unpruned witness search, on this
+module's own doubled word ``_doubled`` and rotation ``_rotated`` rather
+than the package's continued word, which it is there to check.
 """
 
 import math
@@ -22,12 +24,7 @@ from oacf.constructions import (
     expand_gamma_indices,
 )
 from oacf.cyclotomy import CSET_PAIRS, CyclotomicSystem
-from oacf.sequences import (
-    BinarySequence,
-    SequenceParseError,
-    _doubled_word,
-    _rotated,
-)
+from oacf.sequences import BinarySequence, SequenceParseError
 
 _SEPARATORS = " \t\r\n,"
 
@@ -170,6 +167,17 @@ def _decimate_word(word: int, n: int, d: int) -> int:
     return out
 
 
+def _doubled(s: BinarySequence) -> int:
+    # 2N-bit word of s || (s + 1)
+    n = s.period
+    return s.word | ((s.word ^ ((1 << n) - 1)) << n)
+
+
+def _rotated(word: int, m: int, r: int) -> int:
+    # bit i of the result is bit (i + r) mod m of the m-bit word
+    return ((word >> r) | (word << (m - r))) & ((1 << m) - 1)
+
+
 def _unit_range(two_n: int):
     # d must be odd; remaining coprimality checked against two_n
     for d in range(1, two_n, 2):
@@ -186,8 +194,8 @@ def oacf_equivalent_reference(s, s_prime) -> tuple[int, int] | None:
         )
     n = s.period
     two_n = 2 * n
-    u = _doubled_word(s)
-    target = _doubled_word(s_prime)
+    u = _doubled(s)
+    target = _doubled(s_prime)
     for d in _unit_range(two_n):
         decimated = _decimate_word(u, two_n, d)
         d_inv = pow(d, -1, two_n)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -80,7 +81,8 @@ class TestApplyWitness:
         )
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
+        message = "gcd(d=2, 2N=6) = 2; witnesses require gcd(d, 2N) = 1"
+        with pytest.raises(NotCoprimeError, match=f"^{re.escape(message)}$"):
             apply_witness(AffineWitness(2, 0), seq("010"))
 
     def test_composition_law(self):

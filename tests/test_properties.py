@@ -77,6 +77,24 @@ def test_operations_match_oracle(bits, data):
     assert apply_witness(AffineWitness(d2, t), s).bits() == oracle.apply_witness_naive(bits, d2, t)
 
 
+def wide_units(modulus, n):
+    # units mod ``modulus`` anywhere in [-4N, 4N], negative ones included
+    return st.integers(-4 * n, 4 * n).filter(lambda d: math.gcd(d, modulus) == 1)
+
+
+@bounded
+@given(bit_lists(64), st.data())
+def test_decimations_take_parameters_outside_their_reduced_range(bits, data):
+    s = BinarySequence.from_bits(bits)
+    n = len(bits)
+    d = data.draw(wide_units(n, n))
+    d2 = data.draw(wide_units(2 * n, n))
+    t = data.draw(st.integers(-4 * n, 4 * n))
+    assert decimate(s, d).bits() == oracle.decimate_naive(bits, d)
+    assert nega_decimate(s, d2).bits() == oracle.nega_decimate_naive(bits, d2)
+    assert apply_witness(AffineWitness(d2, t), s).bits() == oracle.apply_witness_naive(bits, d2, t)
+
+
 @bounded
 @given(bit_lists(8), st.data())
 def test_search_matches_brute_force(bits, data):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -203,7 +204,8 @@ class TestElementaryOps:
         assert decimate(seq("0000"), 3) == seq("0000")
 
     def test_decimate_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
+        message = "gcd(d=2, N=6) = 2; decimation requires gcd(d, N) = 1"
+        with pytest.raises(NotCoprimeError, match=f"^{re.escape(message)}$"):
             decimate(seq("010101"), 2)
 
     def test_shift_errors(self):
@@ -257,8 +259,9 @@ class TestNegaDecimate:
         assert nega_decimate(seq("01"), 3) == seq("00")
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprimeError):
-            nega_decimate(seq("010"), 3)  # gcd(3, 6) = 3
+        message = "gcd(d=3, 2N=6) = 3; nega-decimation requires gcd(d, 2N) = 1"
+        with pytest.raises(NotCoprimeError, match=f"^{re.escape(message)}$"):
+            nega_decimate(seq("010"), 3)
         with pytest.raises(NotCoprimeError):
             nega_decimate(seq("0101"), 2)
 
