@@ -67,13 +67,6 @@ def compose(first: AffineWitness, second: AffineWitness, period: int) -> AffineW
     )
 
 
-def _unit_range(two_n: int):
-    # d must be odd; remaining coprimality checked against two_n
-    for d in range(1, two_n, 2):
-        if math.gcd(d, two_n) == 1:
-            yield d
-
-
 def _check_periods(s: BinarySequence, s_prime: BinarySequence) -> None:
     if s.period != s_prime.period:
         raise ValueError(
@@ -81,14 +74,10 @@ def _check_periods(s: BinarySequence, s_prime: BinarySequence) -> None:
         )
 
 
-def _doubled_profile(s: BinarySequence) -> list[int]:
-    """PACF of the doubled sequence u = s || (s + 1) at every shift in Z_{2N}.
-
-    The first half is twice the OACF of s; u(i + N) = u(i) + 1, so the
-    second half is the first half negated.
-    """
-    half = [2 * value for value in _correlations(s, -1)]
-    return half + [-value for value in half]
+def _key(profile: list[int]) -> tuple[int, ...]:
+    """Sorted |OACF| values: equal for every sequence in one class, since a
+    witness permutes Z_{2N} and OACF(tau + N) = -OACF(tau)."""
+    return tuple(sorted(map(abs, profile)))
 
 
 def _doubled_text(s: BinarySequence) -> str:
@@ -115,22 +104,25 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     """Lexicographically smallest witness (d, t) mapping s to s_prime, or None.
 
     The search is complete over d in Z*_{2N}, t in Z_{2N}, and pruned by an
-    invariant of the doubled sequences u and v: a witness (d, t) forces
-    PACF_v(tau) = PACF_u(d*tau mod 2N) whatever t is.  Unequal profile
-    multisets give None at once, and a unit d is rejected at the first
-    shift that breaks the invariant; checking tau < N suffices, since
-    p[tau + N] = -p[tau] for both profiles and d*N = N (mod 2N) for odd d.
-    For each d left, every t comes from a substring search of v among the
-    rotations of u decimated by d.
+    invariant of the OACF continued to Z_{2N}, where OACF(tau + N) =
+    -OACF(tau): a witness (d, t) forces OACF_{s'}(tau) = OACF_s(d*tau mod 2N)
+    whatever t is.  Unequal multisets of |OACF| values give None at once,
+    and a unit d is rejected at the first shift tau < N that breaks the
+    invariant; those suffice, since d*N = N (mod 2N) for odd d.  For each d
+    left, every t comes from a substring search of v among the rotations
+    of u = s || (s + 1) decimated by d.
     """
     _check_periods(s, s_prime)
-    two_n = 2 * s.period
-    pu, pv = _doubled_profile(s), _doubled_profile(s_prime)
-    if sorted(pu) != sorted(pv):
+    n, two_n = s.period, 2 * s.period
+    pu, pv = _correlations(s, -1), _correlations(s_prime, -1)
+    if _key(pu) != _key(pv):
         return None
+    pu += [-value for value in pu]  # OACF_s on all of Z_{2N}
     text, target = _doubled_text(s), _doubled_text(s_prime)
-    for d in _unit_range(two_n):
-        for tau in range(1, two_n // 2):
+    for d in range(1, two_n, 2):
+        if math.gcd(d, two_n) != 1:
+            continue
+        for tau in range(1, n):
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
@@ -183,25 +175,23 @@ def classify(labeled) -> list[EquivalenceClass]:
             raise ValueError(
                 f"mixed periods: {label!r} has period {seq.period}, expected {period}"
             )
-    # each sequence's sorted profile is computed once; a representative
-    # whose sorted profile differs cannot be equivalent and is skipped
-    # without a search
-    classes: list[tuple[BinarySequence, list[int], EquivalenceClass]] = []
+    # a sequence is searched against the representatives of its own key
+    # only, in the order they were made
+    groups: dict[tuple[int, ...], list[tuple[BinarySequence, EquivalenceClass]]] = {}
+    classes: list[EquivalenceClass] = []
     for label, seq in items:
-        key = sorted(_doubled_profile(seq))
-        for rep_seq, rep_key, cls in classes:
-            if rep_key != key:
-                continue
+        reps = groups.setdefault(_key(_correlations(seq, -1)), [])
+        for rep_seq, cls in reps:
             witness = oacf_equivalent(rep_seq, seq)
             if witness is not None:
                 cls.members += (label,)
                 cls.witnesses[label] = witness
                 break
         else:
-            classes.append(
-                (seq, key, EquivalenceClass(label, (label,), {label: AffineWitness(1, 0)}))
-            )
-    return [cls for _, _, cls in classes]
+            cls = EquivalenceClass(label, (label,), {label: AffineWitness(1, 0)})
+            reps.append((seq, cls))
+            classes.append(cls)
+    return classes
 
 
 # (row, source index, target index, printed alpha exponent, negate source first)
@@ -290,20 +280,15 @@ class Table4Report:
         return dict(vars(self), rows=rows, **{"pass": self.all_passed})
 
 
-def verify_table4(
-    p_even_f: int,
-    p_odd_f: int,
-    alpha_even: int | None = None,
-    alpha_odd: int | None = None,
-) -> Table4Report:
+def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
     """Check the eight explicit pairing relations among the sixteen
     constructions, plus a generic witness search per pair.
 
     Rows 1-2 run at ``p_even_f`` (constructions 1-4 need f even), rows 3-8
-    at ``p_odd_f``.
+    at ``p_odd_f``, each with the smallest primitive root of its prime.
     """
-    sys_even = build_system(p_even_f, alpha_even)
-    sys_odd = build_system(p_odd_f, alpha_odd)
+    sys_even = build_system(p_even_f)
+    sys_odd = build_system(p_odd_f)
     if sys_even.f % 2 != 0:
         raise ValueError(f"p_even_f={p_even_f} has odd f={sys_even.f}")
     if sys_odd.f % 2 != 1:

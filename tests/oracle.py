@@ -11,6 +11,8 @@ implementations, kept as differential oracles of the faster ones:
 ``oacf_equivalent_reference`` the unpruned witness search, on this
 module's own doubled word ``_doubled`` and rotation ``_rotated`` rather
 than the package's continued word, which it is there to check.
+``orbit_count`` counts the classes among all sequences of one period by
+Burnside's lemma, with no search at all.
 """
 
 import math
@@ -203,3 +205,48 @@ def oacf_equivalent_reference(s, s_prime) -> tuple[int, int] | None:
             if _rotated(decimated, two_n, d_inv * t % two_n) == target:
                 return d, t
     return None
+
+
+def _parity_colourings(size: int, edges) -> int:
+    """Number of 2-colourings of range(size) such that each edge (a, b,
+    differ) joins equal colours (differ = 0) or unequal ones (differ = 1):
+    2^components by a union-find with parity, or 0 on an inconsistent cycle."""
+    parent = list(range(size))
+    parity = [0] * size  # colour of a node xor colour of its parent
+
+    def find(i: int) -> tuple[int, int]:
+        flip = 0
+        while parent[i] != i:
+            flip ^= parity[i]
+            i = parent[i]
+        return i, flip
+
+    components = size
+    for a, b, differ in edges:
+        (ra, fa), (rb, fb) = find(a), find(b)
+        if ra == rb:
+            if fa ^ fb != differ:
+                return 0
+        else:
+            parent[ra], parity[ra] = rb, fa ^ fb ^ differ
+            components -= 1
+    return 2 ** components
+
+
+def orbit_count(n: int) -> int:
+    """Number of classes among all 2^n sequences of period n, by Burnside's
+    lemma over the phi(2n)*2n witnesses (d, t).
+
+    A witness fixes s exactly when u(d*i + t) = u(i) for u = s || (s + 1),
+    so the sequences it fixes are the colourings of Z_{2n} with i and
+    d*i + t equal and i and i + n unequal."""
+    two_n = 2 * n
+    flips = [(i, i + n, 1) for i in range(n)]
+    witnesses = [(d, t) for d in _unit_range(two_n) for t in range(two_n)]
+    fixed = sum(
+        _parity_colourings(two_n, flips + [(i, (d * i + t) % two_n, 0) for i in range(two_n)])
+        for d, t in witnesses
+    )
+    count, rest = divmod(fixed, len(witnesses))
+    assert rest == 0, "Burnside's average must be a whole number"
+    return count

@@ -77,6 +77,8 @@ INVOCATIONS = [
     (["verify", "--tables", "--primes", "1009"], None),
     (["verify", "--table4", "--primes", "17,13"], None),
     (["verify", "--table4", "--primes", "17,13", "--json"], None),
+    (["verify", "--table4", "--primes", "29,41", "--json"], None),
+    (["verify", "--table4", "--primes", "197,137"], None),
     (["verify", "--tables", "--primes", "13", "--alpha", "6", "--json"], None),
     (["verify", "--primes", "4,13"], None),
     (["verify", "--primes", "13,x"], None),
@@ -85,6 +87,9 @@ INVOCATIONS = [
     (["classify", "--parker", "13", "--json"], None),
     (["classify", "--parker", "29"], None),
     (["classify", "--parker", "37"], None),
+    (["classify", "--parker", "17"], None),
+    (["classify", "--parker", "17", "--json"], None),
+    (["classify", "--parker", "53"], None),
     (["classify", "a=" + SEQ31, "b=" + SEQ31_NEGADEC3, "c=" + PAIR10_A + "0" * 21], None),
     (["classify", PAIR10_A, PAIR10_B, "--json"], None),
     (["classify", "-"], "x=0110101\n\ny=1011010\n"),

@@ -25,7 +25,10 @@ from oacf import (
     try_parker_split,
     verify_table4,
 )
-from oacf.equivalence import _doubled_profile
+import oacf.equivalence
+from oacf.cli import main
+from oacf.equivalence import _key
+from oacf.sequences import _correlations
 
 import goldens
 import oracle
@@ -245,13 +248,36 @@ class TestPrunedSearch:
             for tau in range(2 * n):
                 assert oracle.pacf_naive(v, tau) == oracle.pacf_naive(u, d * tau % (2 * n))
 
-    def test_doubled_profile_matches_naive(self):
+    def test_key_separates_like_the_doubled_pacf_multiset(self):
+        # the key, N sorted |OACF| values, is equal exactly when the
+        # multisets of PACF values of u = s || (s + 1) over Z_{2N} are
+        def doubled_multiset(s):
+            u = parker_double(s).bits()
+            return sorted(oracle.pacf_naive(u, tau) for tau in range(len(u)))
+
+        def same_key(a, b):
+            equal = _key(_correlations(a, -1)) == _key(_correlations(b, -1))
+            assert equal == (doubled_multiset(a) == doubled_multiset(b))
+            return equal
+
         rng = random.Random(43)
+        random_pairs = []
+        for _ in range(200):
+            n = rng.randrange(1, 9)
+            random_pairs.append((random_sequence(rng, n), random_sequence(rng, n)))
+        assert {same_key(a, b) for a, b in random_pairs} == {True, False}
         for _ in range(40):
             n = rng.randrange(1, 65)
             s = random_sequence(rng, n)
-            u = parker_double(s).bits()
-            assert _doubled_profile(s) == [oracle.pacf_naive(u, tau) for tau in range(2 * n)]
+            w = AffineWitness(random_unit(rng, 2 * n), rng.randrange(2 * n))
+            assert same_key(s, apply_witness(w, s))
+        family = parker_family(13)
+        for a in family.values():
+            for b in family.values():
+                same_key(a, b)
+        # a shared key does not make a class: s06 and s09 lie apart
+        assert same_key(family["s06"], family["s09"])
+        assert oacf_equivalent(family["s06"], family["s09"]) is None
 
     def test_smallest_t_among_several_matches(self):
         # three rotations match for d = 5, at t = 11, 3, 19 in rotation
@@ -374,6 +400,29 @@ class TestClassify:
             ("s09", "s12", "s13", "s16"),
             ("s10", "s11", "s14", "s15"),
         ]
+
+    @pytest.mark.parametrize("p, searches", [(13, 10), (29, 8), (37, 8)])
+    def test_search_count_of_parker_family(self, p, searches, monkeypatch, capsys):
+        # classify searches only same-key representatives, through the
+        # module's public oacf_equivalent
+        calls = []
+        search = oacf.equivalence.oacf_equivalent
+
+        def counting(s, s_prime):
+            calls.append((s, s_prime))
+            return search(s, s_prime)
+
+        monkeypatch.setattr(oacf.equivalence, "oacf_equivalent", counting)
+        assert main(["classify", "--parker", str(p)]) == 0
+        capsys.readouterr()
+        assert len(calls) == searches
+
+    def test_class_count_matches_burnside(self):
+        counts = [oracle.orbit_count(n) for n in range(1, 13)]
+        assert counts == [1, 1, 2, 1, 3, 4, 5, 3, 11, 13, 15, 31]
+        for n, count in enumerate(counts, start=1):
+            labeled = {f"{w:0{n}b}": BinarySequence(w, n) for w in range(1 << n)}
+            assert len(classify(labeled)) == count
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError):
