@@ -9,6 +9,8 @@ inapplicable, 4 verification failure or no witness found.
 """
 
 import argparse
+import functools
+import shutil
 import sys
 
 from .constructions import (
@@ -248,17 +250,22 @@ def _cmd_equiv(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter for every add_argument, and each one would
+    # read the terminal size; read it once, as HelpFormatter would
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="oacf",
         description="Odd-periodic autocorrelation toolkit for binary sequences.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="oacf")
 
     alpha_help = "override the generator of GF(p)* (default: smallest primitive root)"
 
     def command(name, handler, summary, alpha=None):
         # alpha: the --alpha help text, or None for a subcommand without it
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if alpha is not None:
             p.add_argument("--alpha", type=int, default=None, help=alpha)

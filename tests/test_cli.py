@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -410,3 +411,50 @@ def test_alpha_help_names_its_condition(capsys, monkeypatch, command, alpha_help
     code, out, _ = run_cli(capsys, command, "--help")
     assert code == 0
     assert alpha_help in " ".join(out.split())
+
+
+def test_terminal_size_is_read_once_per_call(capsys, monkeypatch):
+    # argparse would read it once per formatter: 34 times for one request
+    reads = []
+    real = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    for argv, code in [(("equiv", "0110", "1001"), 0), (("verify", "--help"), 0), (("apply",), 2)]:
+        reads.clear()
+        assert run_cli(capsys, *argv)[0] == code
+        assert len(reads) == 1, argv
+
+
+def test_help_follows_the_width_of_each_call(capsys, monkeypatch):
+    outputs = []
+    for columns in ("60", "120", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        outputs.append(out)
+    narrow, wide, narrow_again = outputs
+    assert narrow == narrow_again != wide
+    assert max(map(len, narrow.splitlines())) <= 58
+
+
+def test_no_option_value_leaks_into_the_next_call(capsys):
+    # each invocation sets an option that the one after it omits
+    invocations = [
+        ("classify", "--parker", "13", "--alpha", "6", "--json"),
+        ("classify", "--parker", "13"),
+        ("oacf", goldens.PAIR10_A, "--pacf", "--distribution"),
+        ("oacf", goldens.PAIR10_A),
+        ("verify", "--tables", "--primes", "13"),
+        ("verify", "--primes", "13"),
+        ("apply", "shift", goldens.PAIR10_A, "3"),
+        ("apply", "negate", goldens.PAIR10_A),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(oacf.__file__).parents[1]))
+    for argv in invocations:
+        alone = subprocess.run([sys.executable, "-m", "oacf.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr), argv
