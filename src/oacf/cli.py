@@ -249,7 +249,16 @@ def _cmd_equiv(args):
     return (EXIT_OK if reachable else EXIT_VERIFY), payload, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("oacf", "apply", "construct", "verify", "classify", "equiv")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  ``command`` is argv's first word: when it names a
+    subcommand, only that subparser gets its arguments, since the top-level
+    parser (no option but -h) can dispatch to no other.  All six subparsers
+    are still added, for the top-level usage line.  Any other ``command``,
+    None included, builds the full tree."""
+    full = command not in _COMMANDS
     # argparse makes a formatter for every add_argument, and each one would
     # read the terminal size; read it once, as HelpFormatter would
     width = shutil.get_terminal_size().columns - 2
@@ -263,54 +272,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     alpha_help = "override the generator of GF(p)* (default: smallest primitive root)"
 
-    def command(name, handler, summary, alpha=None):
-        # alpha: the --alpha help text, or None for a subcommand without it
+    def add_command(name, handler, summary, alpha=None):
+        # alpha: the --alpha help text, or None for a subcommand without it;
+        # returns None for a subparser that this argv cannot reach
         p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        if not (full or name == command):
+            return None
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if alpha is not None:
             p.add_argument("--alpha", type=int, default=None, help=alpha)
         p.set_defaults(handler=handler)
         return p
 
-    p = command("oacf", _cmd_oacf, "correlation profile of a sequence")
-    p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
-    p.add_argument("--pacf", action="store_true", help="periodic instead of odd-periodic")
-    p.add_argument("--distribution", action="store_true", help="print the value multiset")
+    if p := add_command("oacf", _cmd_oacf, "correlation profile of a sequence"):
+        p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
+        p.add_argument("--pacf", action="store_true", help="periodic instead of odd-periodic")
+        p.add_argument("--distribution", action="store_true", help="print the value multiset")
 
-    p = command("apply", _cmd_apply, "apply a sequence operation")
-    p.add_argument("op", choices=sorted(_APPLY_OPS))
-    p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
-    p.add_argument("param", type=int, nargs="?", default=None,
-                   help="shift amount or decimation parameter")
+    if p := add_command("apply", _cmd_apply, "apply a sequence operation"):
+        p.add_argument("op", choices=sorted(_APPLY_OPS))
+        p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
+        p.add_argument("param", type=int, nargs="?", default=None,
+                       help="shift amount or decimation parameter")
 
-    p = command("construct", _cmd_construct,
-                "build one of the sixteen period-4p constructions", alpha=alpha_help)
-    p.add_argument("index", type=int, help="construction index in [1, 16]")
-    p.add_argument("p", type=int, help="prime with p = 1 (mod 4)")
-    p.add_argument("--emit-u", action="store_true",
-                   help="also print the doubled characteristic sequence")
+    if p := add_command("construct", _cmd_construct,
+                        "build one of the sixteen period-4p constructions", alpha=alpha_help):
+        p.add_argument("index", type=int, help="construction index in [1, 16]")
+        p.add_argument("p", type=int, help="prime with p = 1 (mod 4)")
+        p.add_argument("--emit-u", action="store_true",
+                       help="also print the doubled characteristic sequence")
 
-    p = command("verify", _cmd_verify,
-                "check constructions against their value sets and pairings",
-                alpha=alpha_help + "; needs exactly one prime in --primes")
-    p.add_argument("--tables", action="store_true", help="only the value-set checks")
-    p.add_argument("--table4", action="store_true", help="only the pairing relations")
-    p.add_argument("--primes", type=_parse_primes, default=None,
-                   help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")
+    if p := add_command("verify", _cmd_verify,
+                        "check constructions against their value sets and pairings",
+                        alpha=alpha_help + "; needs exactly one prime in --primes"):
+        p.add_argument("--tables", action="store_true", help="only the value-set checks")
+        p.add_argument("--table4", action="store_true", help="only the pairing relations")
+        p.add_argument("--primes", type=_parse_primes, default=None,
+                       help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")
 
-    p = command("classify", _cmd_classify,
-                "partition sequences into OACF-equivalence classes",
-                alpha=alpha_help + "; needs --parker P")
-    p.add_argument("sequences", nargs="*",
-                   help="literals or label=literal entries; '-' reads lines from stdin")
-    p.add_argument("--parker", type=int, metavar="P", default=None,
-                   help="classify the applicable constructions at prime P instead")
+    if p := add_command("classify", _cmd_classify,
+                        "partition sequences into OACF-equivalence classes",
+                        alpha=alpha_help + "; needs --parker P"):
+        p.add_argument("sequences", nargs="*",
+                       help="literals or label=literal entries; '-' reads lines from stdin")
+        p.add_argument("--parker", type=int, metavar="P", default=None,
+                       help="classify the applicable constructions at prime P instead")
 
-    p = command("equiv", _cmd_equiv, "search for a witness mapping one sequence to another")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--without-negadecimation", action="store_true",
-                   help="search only negation and nega-cyclic shifts (d = 1)")
+    if p := add_command("equiv", _cmd_equiv, "search for a witness mapping one sequence to another"):
+        p.add_argument("first")
+        p.add_argument("second")
+        p.add_argument("--without-negadecimation", action="store_true",
+                       help="search only negation and nega-cyclic shifts (d = 1)")
     return parser
 
 
@@ -318,7 +330,9 @@ def main(argv=None) -> int:
     """Run one subcommand: print its report (JSON with --json, else text
     lines) on stdout and return its exit code; an error prints one
     ``error:`` line on stderr instead."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import oacf
 from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
-from oacf.cli import main
+from oacf.cli import build_parser, main
 
 import goldens
 
@@ -458,3 +459,59 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
         alone = subprocess.run([sys.executable, "-m", "oacf.cli", *argv], env=env,
                                capture_output=True, text=True)
         assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
+# per subcommand: a valid call, --help, a missing positional, a bad type=int
+# or choices value, an unknown option, an extra positional and an
+# abbreviated option
+NAMED_BUILD_ARGVS = {
+    "oacf": [["0110"], ["0110", "--pacf", "--json"], ["--help"], [], ["0110", "--bogus"],
+             ["0110", "1001"], ["0110", "--dist"], ["0110", "--p"]],
+    "apply": [["shift", "0110", "1"], ["--help"], ["shift"], ["rotate", "0110", "1"],
+              ["shift", "0110", "x"], ["negate", "0110", "--bogus"], ["shift", "0110", "1", "2"],
+              ["negate", "0110", "--js"]],
+    "construct": [["5", "13", "--emit-u"], ["--help"], ["5"], ["five", "13"], ["5", "13", "--alpha", "x"],
+                  ["5", "13", "--bogus"], ["5", "13", "17"], ["5", "13", "--emit"], ["5", "13", "--al", "6"]],
+    "verify": [["--tables", "--primes", "13,17"], [], ["--help"], ["--primes", "13,x"], ["--alpha", "x"],
+               ["--bogus"], ["13"], ["--prim", "13"], ["--table", "--json"], ["--primes"]],
+    "classify": [["0110", "a=1001"], ["--parker", "13", "--alpha", "6"], ["--help"], ["--parker", "x"],
+                 ["--parker"], ["0110", "--bogus"], ["--park", "13"], ["--j", "0110"]],
+    "equiv": [["0110", "1001", "--json"], ["--help"], ["0110"], ["0110", "1001", "--bogus"],
+              ["0110", "1001", "extra"], ["0110", "1001", "--without"], ["0110", "1001", "--js"]],
+}
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(NAMED_BUILD_ARGVS))
+def test_named_build_parses_like_the_full_build(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_parser()._subparsers._group_actions[0].choices.keys() == set(NAMED_BUILD_ARGVS)
+    for rest in NAMED_BUILD_ARGVS[command]:
+        argv = [command, *rest]
+        named = _parse(build_parser(command), argv, capsys)
+        assert named == _parse(build_parser(), argv, capsys), argv
+
+
+def test_argument_count_per_call(capsys, monkeypatch):
+    # only the subparser that argv names gets its arguments; -h and an
+    # empty argv name none, so they build all 33
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    for argv, code, count in [(("equiv", "0110", "1001"), 0, 11), (("verify", "--primes", "13"), 0, 12),
+                              (("-h",), 0, 33), ((), 2, 33)]:
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == code
+        assert len(calls) == count, argv

@@ -111,6 +111,16 @@ INVOCATIONS = [
     (["verify", "--help"], None),
     (["classify", "--help"], None),
     (["equiv", "--help"], None),
+    (["equiv", "0110", "1001", "extra"], None),
+    (["bogus"], None),
+    (["--json", "equiv", "0110", "1001"], None),
+    (["-h", "verify"], None),
+    (["--", "equiv", "0110", "1001"], None),
+    (["verify", "--bogus"], None),
+    (["construct", "5"], None),
+    (["classify", "--parker"], None),
+    (["equiv", "0110", "1001", "--without"], None),
+    (["equiv", "0110", "1001", "--js"], None),
 ]
 
 

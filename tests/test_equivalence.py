@@ -14,6 +14,7 @@ from oacf import (
     compose,
     construct_in,
     is_applicable,
+    is_odd_optimal,
     nega_cyclic_shift,
     nega_decimate,
     negate,
@@ -423,6 +424,19 @@ class TestClassify:
         for n, count in enumerate(counts, start=1):
             labeled = {f"{w:0{n}b}": BinarySequence(w, n) for w in range(1 << n)}
             assert len(classify(labeled)) == count
+
+    def test_census_of_odd_optimal_classes(self):
+        # the peak |OACF| is a class invariant, so the representative decides
+        # its class; N = 2 has none, its peak 0 being below the bound 2
+        census = {}
+        for n in range(2, 12):
+            labeled = {f"{w:0{n}b}": BinarySequence(w, n) for w in range(1 << n)}
+            census[n] = 0
+            for cls in classify(labeled):
+                optimal = is_odd_optimal(labeled[cls.representative])
+                assert {is_odd_optimal(labeled[m]) for m in cls.members} == {optimal}
+                census[n] += optimal
+        assert list(census.values()) == [0, 1, 1, 1, 2, 1, 1, 0, 3, 1]
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(ValueError):
