@@ -254,10 +254,12 @@ _COMMANDS = ("oacf", "apply", "construct", "verify", "classify", "equiv")
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  ``command`` is argv's first word: when it names a
-    subcommand, only that subparser gets its arguments, since the top-level
-    parser (no option but -h) can dispatch to no other.  All six subparsers
-    are still added, for the top-level usage line.  Any other ``command``,
-    None included, builds the full tree."""
+    subcommand, only that subparser is built in full, since the top-level
+    parser (no option but -h) can dispatch to no other.  The other five are
+    bare entries (no -h, no help line, no arguments), kept only so that the
+    top-level usage line of an error lists all six names; dropping them
+    waits for a compact benchmark log (ROADMAP item 6).  Any other
+    ``command``, None included, builds the full tree."""
     full = command not in _COMMANDS
     # argparse makes a formatter for every add_argument, and each one would
     # read the terminal size; read it once, as HelpFormatter would
@@ -273,11 +275,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     alpha_help = "override the generator of GF(p)* (default: smallest primitive root)"
 
     def add_command(name, handler, summary, alpha=None):
-        # alpha: the --alpha help text, or None for a subcommand without it;
-        # returns None for a subparser that this argv cannot reach
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        # alpha: the --alpha help text, or None for a subcommand without it.
+        # A subparser that this argv cannot reach is a bare entry, there only
+        # for the top-level usage line, and None is returned for it
         if not (full or name == command):
+            sub.add_parser(name, add_help=False)
             return None
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if alpha is not None:
             p.add_argument("--alpha", type=int, default=None, help=alpha)

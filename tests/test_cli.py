@@ -492,7 +492,13 @@ def _parse(parser, argv, capsys):
 @pytest.mark.parametrize("command", sorted(NAMED_BUILD_ARGVS))
 def test_named_build_parses_like_the_full_build(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
-    assert build_parser()._subparsers._group_actions[0].choices.keys() == set(NAMED_BUILD_ARGVS)
+
+    def names(parser):
+        # the only source of the top-level usage line in an error
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert names(build_parser()) == names(build_parser(command))
+    assert sorted(names(build_parser())) == sorted(NAMED_BUILD_ARGVS)
     for rest in NAMED_BUILD_ARGVS[command]:
         argv = [command, *rest]
         named = _parse(build_parser(command), argv, capsys)
@@ -500,8 +506,9 @@ def test_named_build_parses_like_the_full_build(capsys, monkeypatch, command):
 
 
 def test_argument_count_per_call(capsys, monkeypatch):
-    # only the subparser that argv names gets its arguments; -h and an
-    # empty argv name none, so they build all 33
+    # only the subparser that argv names is built in full, with its -h; the
+    # other five are bare entries.  -h and an empty argv name none, so they
+    # build all seven parsers and all 33 arguments
     calls = []
     real = argparse._ActionsContainer.add_argument
 
@@ -510,8 +517,12 @@ def test_argument_count_per_call(capsys, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-    for argv, code, count in [(("equiv", "0110", "1001"), 0, 11), (("verify", "--primes", "13"), 0, 12),
-                              (("-h",), 0, 33), ((), 2, 33)]:
+    for argv, code, count, helps in [
+        (("oacf", "0110"), 0, 6, 2), (("apply", "negate", "0110"), 0, 6, 2),
+        (("construct", "5", "13"), 0, 7, 2), (("verify", "--primes", "13"), 0, 7, 2),
+        (("classify", "0110"), 0, 6, 2), (("equiv", "0110", "1001"), 0, 6, 2),
+        (("-h",), 0, 33, 7), ((), 2, 33, 7),
+    ]:
         calls.clear()
         assert run_cli(capsys, *argv)[0] == code
-        assert len(calls) == count, argv
+        assert (len(calls), sum(args[:1] == ("-h",) for args in calls)) == (count, helps), argv
