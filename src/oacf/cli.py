@@ -233,34 +233,32 @@ def _cmd_equiv(args):
     if args.without_negadecimation:
         reachable = reachable_without_negadecimation(first, second)
         witness = None
+        line = ("reachable without nega-decimation" if reachable
+                else "not reachable without nega-decimation")
     else:
         witness = oacf_equivalent(first, second)
         reachable = witness is not None
+        line = f"witness d={witness.d} t={witness.t}" if witness else "no witness"
     payload = {
         "equivalent": reachable,
         "restricted_to_shift_and_negation": args.without_negadecimation,
         "witness": {"d": witness.d, "t": witness.t} if witness else None,
     }
-    if args.without_negadecimation:
-        lines = ("reachable without nega-decimation" if reachable
-                 else "not reachable without nega-decimation",)
-    else:
-        lines = ((f"witness d={witness.d} t={witness.t}" if witness else "no witness"),)
-    return (EXIT_OK if reachable else EXIT_VERIFY), payload, lines
+    return (EXIT_OK if reachable else EXIT_VERIFY), payload, (line,)
 
 
 _COMMANDS = ("oacf", "apply", "construct", "verify", "classify", "equiv")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  ``command`` is argv's first word: when it names a
-    subcommand, only that subparser is built in full, since the top-level
-    parser (no option but -h) can dispatch to no other.  The other five are
-    bare entries (no -h, no help line, no arguments), kept only so that the
-    top-level usage line of an error lists all six names; dropping them
-    waits for a compact benchmark log (ROADMAP item 6).  Any other
-    ``command``, None included, builds the full tree."""
-    full = command not in _COMMANDS
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI's parser for ``argv``.  All six subcommands are listed, each
+    with its help line, but only ``command``, the first word of argv that
+    names a subcommand, gets its -h and its arguments.  The top-level parser
+    has no option that takes a value, so a word before that name is -h
+    (which exits), an unknown option (set aside as an extra) or a positional
+    that names no subcommand (an invalid-choice error): no argv reaches a
+    subparser other than ``command``."""
+    command = next((word for word in argv if word in _COMMANDS), None)
     # argparse makes a formatter for every add_argument, and each one would
     # read the terminal size; read it once, as HelpFormatter would
     width = shutil.get_terminal_size().columns - 2
@@ -276,12 +274,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     def add_command(name, handler, summary, alpha=None):
         # alpha: the --alpha help text, or None for a subcommand without it.
-        # A subparser that this argv cannot reach is a bare entry, there only
-        # for the top-level usage line, and None is returned for it
-        if not (full or name == command):
-            sub.add_parser(name, add_help=False)
+        # Returns the subparser to fill in, or None when argv cannot reach it
+        p = sub.add_parser(name, help=summary, add_help=name == command, formatter_class=formatter)
+        if name != command:
             return None
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         if alpha is not None:
             p.add_argument("--alpha", type=int, default=None, help=alpha)
@@ -336,7 +332,7 @@ def main(argv=None) -> int:
     ``error:`` line on stderr instead."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors

@@ -11,7 +11,7 @@ import pytest
 
 import oacf
 from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
-from oacf.cli import build_parser, main
+from oacf.cli import main
 
 import goldens
 
@@ -461,54 +461,10 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
         assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr), argv
 
 
-# per subcommand: a valid call, --help, a missing positional, a bad type=int
-# or choices value, an unknown option, an extra positional and an
-# abbreviated option
-NAMED_BUILD_ARGVS = {
-    "oacf": [["0110"], ["0110", "--pacf", "--json"], ["--help"], [], ["0110", "--bogus"],
-             ["0110", "1001"], ["0110", "--dist"], ["0110", "--p"]],
-    "apply": [["shift", "0110", "1"], ["--help"], ["shift"], ["rotate", "0110", "1"],
-              ["shift", "0110", "x"], ["negate", "0110", "--bogus"], ["shift", "0110", "1", "2"],
-              ["negate", "0110", "--js"]],
-    "construct": [["5", "13", "--emit-u"], ["--help"], ["5"], ["five", "13"], ["5", "13", "--alpha", "x"],
-                  ["5", "13", "--bogus"], ["5", "13", "17"], ["5", "13", "--emit"], ["5", "13", "--al", "6"]],
-    "verify": [["--tables", "--primes", "13,17"], [], ["--help"], ["--primes", "13,x"], ["--alpha", "x"],
-               ["--bogus"], ["13"], ["--prim", "13"], ["--table", "--json"], ["--primes"]],
-    "classify": [["0110", "a=1001"], ["--parker", "13", "--alpha", "6"], ["--help"], ["--parker", "x"],
-                 ["--parker"], ["0110", "--bogus"], ["--park", "13"], ["--j", "0110"]],
-    "equiv": [["0110", "1001", "--json"], ["--help"], ["0110"], ["0110", "1001", "--bogus"],
-              ["0110", "1001", "extra"], ["0110", "1001", "--without"], ["0110", "1001", "--js"]],
-}
-
-
-def _parse(parser, argv, capsys):
-    try:
-        outcome = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        outcome = ("exit", exc.code)
-    return outcome, capsys.readouterr()
-
-
-@pytest.mark.parametrize("command", sorted(NAMED_BUILD_ARGVS))
-def test_named_build_parses_like_the_full_build(capsys, monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "80")
-
-    def names(parser):
-        # the only source of the top-level usage line in an error
-        return list(parser._subparsers._group_actions[0].choices)
-
-    assert names(build_parser()) == names(build_parser(command))
-    assert sorted(names(build_parser())) == sorted(NAMED_BUILD_ARGVS)
-    for rest in NAMED_BUILD_ARGVS[command]:
-        argv = [command, *rest]
-        named = _parse(build_parser(command), argv, capsys)
-        assert named == _parse(build_parser(), argv, capsys), argv
-
-
 def test_argument_count_per_call(capsys, monkeypatch):
-    # only the subparser that argv names is built in full, with its -h; the
-    # other five are bare entries.  -h and an empty argv name none, so they
-    # build all seven parsers and all 33 arguments
+    # only the subparser that argv names, anywhere in it, gets its -h and its
+    # arguments; -h and an empty argv name none, so they build only the
+    # top-level -h
     calls = []
     real = argparse._ActionsContainer.add_argument
 
@@ -521,7 +477,8 @@ def test_argument_count_per_call(capsys, monkeypatch):
         (("oacf", "0110"), 0, 6, 2), (("apply", "negate", "0110"), 0, 6, 2),
         (("construct", "5", "13"), 0, 7, 2), (("verify", "--primes", "13"), 0, 7, 2),
         (("classify", "0110"), 0, 6, 2), (("equiv", "0110", "1001"), 0, 6, 2),
-        (("-h",), 0, 33, 7), ((), 2, 33, 7),
+        (("-h",), 0, 1, 1), ((), 2, 1, 1),
+        (("--json", "equiv", "0110", "1001"), 2, 6, 2), (("-h", "verify"), 0, 7, 2),
     ]:
         calls.clear()
         assert run_cli(capsys, *argv)[0] == code

@@ -121,6 +121,56 @@ INVOCATIONS = [
     (["classify", "--parker"], None),
     (["equiv", "0110", "1001", "--without"], None),
     (["equiv", "0110", "1001", "--js"], None),
+    # per subcommand: a valid call, a missing positional, a bad type=int or
+    # choices value, an unknown option, an extra positional and an
+    # abbreviated option
+    (["oacf", "0110"], None),
+    (["oacf", "0110", "--pacf", "--json"], None),
+    (["oacf"], None),
+    (["oacf", "0110", "--bogus"], None),
+    (["oacf", "0110", "1001"], None),
+    (["oacf", "0110", "--dist"], None),
+    (["oacf", "0110", "--p"], None),
+    (["apply", "shift", "0110", "1"], None),
+    (["apply", "shift"], None),
+    (["apply", "rotate", "0110", "1"], None),
+    (["apply", "shift", "0110", "x"], None),
+    (["apply", "negate", "0110", "--bogus"], None),
+    (["apply", "shift", "0110", "1", "2"], None),
+    (["apply", "negate", "0110", "--js"], None),
+    (["construct", "5", "13", "--emit-u"], None),
+    (["construct", "five", "13"], None),
+    (["construct", "5", "13", "--alpha", "x"], None),
+    (["construct", "5", "13", "--bogus"], None),
+    (["construct", "5", "13", "17"], None),
+    (["construct", "5", "13", "--emit"], None),
+    (["construct", "5", "13", "--al", "6"], None),
+    (["verify", "--tables", "--primes", "13,17"], None),
+    (["verify", "--alpha", "x"], None),
+    (["verify", "13"], None),
+    (["verify", "--prim", "13"], None),
+    (["verify", "--table", "--json"], None),
+    (["verify", "--primes"], None),
+    (["classify", "0110", "a=1001"], None),
+    (["classify", "--parker", "13", "--alpha", "6"], None),
+    (["classify", "--parker", "x"], None),
+    (["classify", "0110", "--bogus"], None),
+    (["classify", "--park", "13"], None),
+    (["classify", "--j", "0110"], None),
+    (["equiv", "0110", "1001", "--json"], None),
+    (["equiv", "0110"], None),
+    (["equiv", "0110", "1001", "--bogus"], None),
+    (["equiv", SEQ31, SEQ31_NEGADEC3, "--without-negadecimation"], None),
+    # words before the first subcommand name: an unknown option, a
+    # positional that names no subcommand, '--', an abbreviated --help, and
+    # a second subcommand name where the first one's arguments go
+    (["-x", "classify", "0110"], None),
+    (["bogus", "equiv", "0110", "1001"], None),
+    (["--", "--", "equiv"], None),
+    (["--he"], None),
+    (["verify", "-h", "classify"], None),
+    (["equiv", "classify", "0110"], None),
+    (["-1", "equiv", "0110", "1001"], None),
 ]
 
 
