@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: oacf, apply, construct, verify, classify, equiv.  Text output
-is line-oriented and stable across runs; --json emits a single JSON
-document carrying the same numbers.
+Subcommands: oacf, apply, construct, verify, classify, equiv, each declared
+once, with its handler, help line and arguments, in the ``_COMMANDS`` table.
+Text output is line-oriented and stable across runs; --json emits a single
+JSON document carrying the same numbers.
 
 Exit codes: 0 success, 2 usage/parse/precondition error, 3 construction
 inapplicable, 4 verification failure or no witness found.
@@ -247,16 +248,62 @@ def _cmd_equiv(args):
     return (EXIT_OK if reachable else EXIT_VERIFY), payload, (line,)
 
 
-_COMMANDS = ("oacf", "apply", "construct", "verify", "classify", "equiv")
+_ALPHA_HELP = "override the generator of GF(p)* (default: smallest primitive root)"
+
+# The one declaration of the subcommands, in help order: name -> (handler,
+# help line, the (flags, keywords) of each argument added after --json).  No
+# value in it is mutated and no default is a list or dict: calls share nothing
+_COMMANDS = {
+    "oacf": (_cmd_oacf, "correlation profile of a sequence", (
+        (("sequence",), dict(help="0/1 literal, or '-' for stdin")),
+        (("--pacf",), dict(action="store_true", help="periodic instead of odd-periodic")),
+        (("--distribution",), dict(action="store_true", help="print the value multiset")),
+    )),
+    "apply": (_cmd_apply, "apply a sequence operation", (
+        (("op",), dict(choices=tuple(sorted(_APPLY_OPS)))),
+        (("sequence",), dict(help="0/1 literal, or '-' for stdin")),
+        (("param",), dict(type=int, nargs="?", default=None,
+                          help="shift amount or decimation parameter")),
+    )),
+    "construct": (_cmd_construct, "build one of the sixteen period-4p constructions", (
+        (("--alpha",), dict(type=int, default=None, help=_ALPHA_HELP)),
+        (("index",), dict(type=int, help="construction index in [1, 16]")),
+        (("p",), dict(type=int, help="prime with p = 1 (mod 4)")),
+        (("--emit-u",), dict(action="store_true",
+                             help="also print the doubled characteristic sequence")),
+    )),
+    "verify": (_cmd_verify, "check constructions against their value sets and pairings", (
+        (("--alpha",), dict(type=int, default=None,
+                            help=_ALPHA_HELP + "; needs exactly one prime in --primes")),
+        (("--tables",), dict(action="store_true", help="only the value-set checks")),
+        (("--table4",), dict(action="store_true", help="only the pairing relations")),
+        (("--primes",), dict(type=_parse_primes, default=None,
+                             help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")),
+    )),
+    "classify": (_cmd_classify, "partition sequences into OACF-equivalence classes", (
+        (("--alpha",), dict(type=int, default=None, help=_ALPHA_HELP + "; needs --parker P")),
+        (("sequences",), dict(nargs="*",
+                              help="literals or label=literal entries; '-' reads lines from stdin")),
+        (("--parker",), dict(type=int, metavar="P", default=None,
+                             help="classify the applicable constructions at prime P instead")),
+    )),
+    "equiv": (_cmd_equiv, "search for a witness mapping one sequence to another", (
+        (("first",), {}),
+        (("second",), {}),
+        (("--without-negadecimation",), dict(
+            action="store_true", help="search only negation and nega-cyclic shifts (d = 1)")),
+    )),
+}
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI's parser for ``argv``.  All six subcommands are listed, each
-    with its help line, but only ``command``, the first word of argv that
-    names a subcommand, gets its -h and its arguments.  The top-level parser
-    has no option that takes a value, so a word before that name is -h
-    (which exits), an unknown option (set aside as an extra) or a positional
-    that names no subcommand (an invalid-choice error): no argv reaches a
+    """The CLI's parser for ``argv``, built from ``_COMMANDS``, the one
+    declaration of the subcommands.  All six are listed, each with its help
+    line, but only ``command``, the first word of argv that names a
+    subcommand, gets its -h and its arguments.  The top-level parser has no
+    option that takes a value, so a word before that name is -h (which
+    exits), an unknown option (set aside as an extra) or a positional that
+    names no subcommand (an invalid-choice error): no argv reaches a
     subparser other than ``command``."""
     command = next((word for word in argv if word in _COMMANDS), None)
     # argparse makes a formatter for every add_argument, and each one would
@@ -269,60 +316,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, prog="oacf")
-
-    alpha_help = "override the generator of GF(p)* (default: smallest primitive root)"
-
-    def add_command(name, handler, summary, alpha=None):
-        # alpha: the --alpha help text, or None for a subcommand without it.
-        # Returns the subparser to fill in, or None when argv cannot reach it
+    for name, (_, summary, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, add_help=name == command, formatter_class=formatter)
-        if name != command:
-            return None
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        if alpha is not None:
-            p.add_argument("--alpha", type=int, default=None, help=alpha)
-        p.set_defaults(handler=handler)
-        return p
-
-    if p := add_command("oacf", _cmd_oacf, "correlation profile of a sequence"):
-        p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
-        p.add_argument("--pacf", action="store_true", help="periodic instead of odd-periodic")
-        p.add_argument("--distribution", action="store_true", help="print the value multiset")
-
-    if p := add_command("apply", _cmd_apply, "apply a sequence operation"):
-        p.add_argument("op", choices=sorted(_APPLY_OPS))
-        p.add_argument("sequence", help="0/1 literal, or '-' for stdin")
-        p.add_argument("param", type=int, nargs="?", default=None,
-                       help="shift amount or decimation parameter")
-
-    if p := add_command("construct", _cmd_construct,
-                        "build one of the sixteen period-4p constructions", alpha=alpha_help):
-        p.add_argument("index", type=int, help="construction index in [1, 16]")
-        p.add_argument("p", type=int, help="prime with p = 1 (mod 4)")
-        p.add_argument("--emit-u", action="store_true",
-                       help="also print the doubled characteristic sequence")
-
-    if p := add_command("verify", _cmd_verify,
-                        "check constructions against their value sets and pairings",
-                        alpha=alpha_help + "; needs exactly one prime in --primes"):
-        p.add_argument("--tables", action="store_true", help="only the value-set checks")
-        p.add_argument("--table4", action="store_true", help="only the pairing relations")
-        p.add_argument("--primes", type=_parse_primes, default=None,
-                       help=f"comma-separated primes (default {','.join(map(str, DEFAULT_PRIMES))})")
-
-    if p := add_command("classify", _cmd_classify,
-                        "partition sequences into OACF-equivalence classes",
-                        alpha=alpha_help + "; needs --parker P"):
-        p.add_argument("sequences", nargs="*",
-                       help="literals or label=literal entries; '-' reads lines from stdin")
-        p.add_argument("--parker", type=int, metavar="P", default=None,
-                       help="classify the applicable constructions at prime P instead")
-
-    if p := add_command("equiv", _cmd_equiv, "search for a witness mapping one sequence to another"):
-        p.add_argument("first")
-        p.add_argument("second")
-        p.add_argument("--without-negadecimation", action="store_true",
-                       help="search only negation and nega-cyclic shifts (d = 1)")
+        if name == command:
+            p.add_argument("--json", action="store_true", help="emit a JSON document")
+            for flags, keywords in arguments:
+                p.add_argument(*flags, **keywords)
     return parser
 
 
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        code, payload, lines = args.handler(args)
+        code, payload, lines = _COMMANDS[args.command][0](args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE if isinstance(exc, ConstructionInapplicableError) else EXIT_USAGE
