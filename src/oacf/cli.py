@@ -25,6 +25,7 @@ from .equivalence import classify, oacf_equivalent, reachable_without_negadecima
 from .sequences import (
     MAX_N,
     BinarySequence,
+    SequenceParseError,
     ValueMultiset,
     cyclic_shift,
     decimate,
@@ -43,16 +44,21 @@ EXIT_VERIFY = 4
 DEFAULT_PRIMES = (17, 41, 5, 13, 29, 37)
 
 
-def _parse_sequence(literal: str) -> BinarySequence:
+def _parse_sequence(name: str, literal: str) -> BinarySequence:
+    # errors name the argument or label that gave the literal
+    try:
+        seq = BinarySequence.from_string(literal)
+    except SequenceParseError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     # checked before any profile, search or gather, whose cost grows as N^2
-    seq = BinarySequence.from_string(literal)
     if seq.period > MAX_N:
-        raise ValueError(f"period must be at most MAX_N = {MAX_N}, got {seq.period}")
+        raise ValueError(f"{name}: period must be at most MAX_N = {MAX_N}, got {seq.period}")
     return seq
 
 
-def _read_sequence(literal: str) -> BinarySequence:
-    return _parse_sequence(sys.stdin.read() if literal == "-" else literal)
+def _read_sequence(args, name: str) -> BinarySequence:
+    literal = getattr(args, name)
+    return _parse_sequence(name, sys.stdin.read() if literal == "-" else literal)
 
 
 def _check_stdin_once(items) -> None:
@@ -65,7 +71,7 @@ def _check_stdin_once(items) -> None:
 
 
 def _cmd_oacf(args):
-    seq = _read_sequence(args.sequence)
+    seq = _read_sequence(args, "sequence")
     profile = pacf_profile(seq) if args.pacf else oacf_profile(seq)
     payload: dict = {"kind": profile.kind, "period": seq.period}
     if args.distribution:
@@ -93,7 +99,7 @@ def _cmd_apply(args):
         raise ValueError(f"operation {args.op!r} requires an integer parameter")
     if not needs_param and args.param is not None:
         raise ValueError(f"operation {args.op!r} takes no parameter")
-    seq = _read_sequence(args.sequence)
+    seq = _read_sequence(args, "sequence")
     text = str(op(seq, args.param) if needs_param else op(seq))
     payload = {"op": args.op, "input": str(seq), "param": args.param, "result": text}
     return EXIT_OK, payload, (text,)
@@ -158,8 +164,9 @@ def _cmd_verify(args):
         ok &= passed == len(reports)
 
     if run_table4:
-        p_even = next((p for p in usable if (p - 1) // 4 % 2 == 0), None)
-        p_odd = next((p for p in usable if (p - 1) // 4 % 2 == 1), None)
+        # construction 1 is a row for f even, construction 5 one for f odd
+        p_even = next((p for p in usable if is_applicable(1, p)), None)
+        p_odd = next((p for p in usable if is_applicable(5, p)), None)
         if p_even is None or p_odd is None:
             lines.append(
                 "notice: pairing check needs one prime of each f parity, skipped"
@@ -207,7 +214,7 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
             label = f"seq{k}"
         if label in labeled:
             raise ValueError(f"duplicate label {label!r}")
-        labeled[label] = _parse_sequence(literal)
+        labeled[label] = _parse_sequence(label, literal)
     return labeled
 
 
@@ -229,8 +236,8 @@ def _cmd_classify(args):
 
 def _cmd_equiv(args):
     _check_stdin_once((args.first, args.second))
-    first = _read_sequence(args.first)
-    second = _read_sequence(args.second)
+    first = _read_sequence(args, "first")
+    second = _read_sequence(args, "second")
     if args.without_negadecimation:
         reachable = reachable_without_negadecimation(first, second)
         witness = None

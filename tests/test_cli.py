@@ -2,18 +2,22 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oacf
 from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
-from oacf.cli import main
+from oacf.cli import _APPLY_OPS, main
 
 import goldens
+from test_cli_corpus import run
 
 
 def run_cli(capsys, *args):
@@ -301,42 +305,49 @@ class TestUsage:
         assert code == 2
 
 
+# (argv, exit code, message, the argument or label that a sequence error names)
 ERROR_CASES = [
-    (["oacf", "01x0"], 2, "invalid character 'x' at position 2"),
-    (["apply", "negate", "0a"], 2, "invalid character 'a' at position 1"),
-    (["equiv", "01", "0b1"], 2, "invalid character 'b' at position 1"),
-    (["classify", "a=01", "b=2"], 2, "invalid character '2' at position 0"),
+    (["oacf", "01x0"], 2, "invalid character 'x' at position 2", "sequence"),
+    (["apply", "negate", "0a"], 2, "invalid character 'a' at position 1", "sequence"),
+    (["equiv", "01", "0b1"], 2, "invalid character 'b' at position 1", "second"),
+    (["classify", "a=01", "b=2"], 2, "invalid character '2' at position 0", "b"),
     (["apply", "decimate", "0101", "2"], 2,
-     "gcd(d=2, N=4) = 2; decimation requires gcd(d, N) = 1"),
+     "gcd(d=2, N=4) = 2; decimation requires gcd(d, N) = 1", None),
     (["apply", "negadecimate", "010", "3"], 2,
-     "gcd(d=3, 2N=6) = 3; nega-decimation requires gcd(d, 2N) = 1"),
-    (["apply", "decimate", "0101"], 2, "operation 'decimate' requires an integer parameter"),
-    (["apply", "negate", "01", "1"], 2, "operation 'negate' takes no parameter"),
-    (["equiv", "0101", "010"], 2, "periods differ: 4 != 3"),
-    (["construct", "1", "13"], 3, "construction 1 requires f even (p=13 has f=3)"),
-    (["construct", "1", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15"),
-    (["construct", "9", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13"),
-    (["verify", "--primes", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13"),
-    (["verify", "--alpha", "2"], 2, "--alpha requires exactly one prime"),
-    (["classify", "a=01", "a=10"], 2, "duplicate label 'a'"),
-    (["classify"], 2, "no sequences given (pass literals, label=literal, or '-')"),
-    (["classify", "--parker", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15"),
-    (["construct", "1", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
-    (["verify", "--primes", f"13,{MAX_P + 1}"], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
-    (["classify", "--parker", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}"),
-    (["classify", "0110", "1001", "--parker", "13"], 2, "give either sequences or --parker P, not both"),
-    (["oacf", "0" * (MAX_N + 1)], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
-    (["apply", "negate", "0" * (MAX_N + 1)], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
-    (["equiv", "0" * (MAX_N + 1), "01"], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
+     "gcd(d=3, 2N=6) = 3; nega-decimation requires gcd(d, 2N) = 1", None),
+    (["apply", "decimate", "0101"], 2, "operation 'decimate' requires an integer parameter", None),
+    (["apply", "negate", "01", "1"], 2, "operation 'negate' takes no parameter", None),
+    (["equiv", "0101", "010"], 2, "periods differ: 4 != 3", None),
+    (["construct", "1", "13"], 3, "construction 1 requires f even (p=13 has f=3)", None),
+    (["construct", "1", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15", None),
+    (["construct", "9", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13", None),
+    (["verify", "--primes", "13", "--alpha", "4"], 2, "4 is not a primitive root mod 13", None),
+    (["verify", "--alpha", "2"], 2, "--alpha requires exactly one prime", None),
+    (["classify", "a=01", "a=10"], 2, "duplicate label 'a'", None),
+    (["classify"], 2, "no sequences given (pass literals, label=literal, or '-')", None),
+    (["classify", "--parker", "15"], 2, "p must be a prime with p = 1 (mod 4), got 15", None),
+    (["construct", "1", str(MAX_P + 1)], 2, f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}", None),
+    (["verify", "--primes", f"13,{MAX_P + 1}"], 2,
+     f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}", None),
+    (["classify", "--parker", str(MAX_P + 1)], 2,
+     f"p must be at most MAX_P = {MAX_P}, got {MAX_P + 1}", None),
+    (["classify", "0110", "1001", "--parker", "13"], 2,
+     "give either sequences or --parker P, not both", None),
+    (["oacf", "0" * (MAX_N + 1)], 2, f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}", "sequence"),
+    (["apply", "negate", "0" * (MAX_N + 1)], 2,
+     f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}", "sequence"),
+    (["equiv", "0" * (MAX_N + 1), "01"], 2,
+     f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}", "first"),
     (["classify", "a=01", "b=" + "0" * (MAX_N + 1)], 2,
-     f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}"),
-    (["classify", "a=0110", "b=1001", "--alpha", "999999"], 2, "--alpha applies only with --parker P"),
+     f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}", "b"),
+    (["classify", "a=0110", "b=1001", "--alpha", "999999"], 2, "--alpha applies only with --parker P", None),
 ]
 
 
-@pytest.mark.parametrize("argv, code, message", ERROR_CASES)
-def test_error_prints_one_line_and_nothing_on_stdout(capsys, argv, code, message):
-    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+@pytest.mark.parametrize("argv, code, message, name", ERROR_CASES)
+def test_error_prints_one_line_and_nothing_on_stdout(capsys, argv, code, message, name):
+    expected = message if name is None else f"{name}: {message}"
+    assert run_cli(capsys, *argv) == (code, "", f"error: {expected}\n")
 
 
 def test_period_at_limit_is_accepted(capsys):
@@ -346,8 +357,9 @@ def test_period_at_limit_is_accepted(capsys):
 @pytest.mark.parametrize("command", ["oacf", "classify"])
 def test_period_above_limit_on_stdin_exits_2(capsys, monkeypatch, command):
     monkeypatch.setattr("sys.stdin", io.StringIO("1" * (MAX_N + 1) + "\n"))
+    name = {"oacf": "sequence", "classify": "seq1"}[command]
     assert run_cli(capsys, command, "-") == (
-        2, "", f"error: period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}\n"
+        2, "", f"error: {name}: period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}\n"
     )
 
 
@@ -483,3 +495,70 @@ def test_argument_count_per_call(capsys, monkeypatch):
         calls.clear()
         assert run_cli(capsys, *argv)[0] == code
         assert (len(calls), sum(args[:1] == ("-h",) for args in calls)) == (count, helps), argv
+
+
+# The argv grammar, drawn: each subcommand with its options, valid and invalid
+# literals, '-', labels, and integers that are negative, zero or past a limit;
+# primes stay at most 61 and sequences at most 64 bits, so each call is cheap
+_integers = st.one_of(st.integers(-5, 61), st.sampled_from([MAX_P + 1, 10**22])).map(str)
+_primes = st.one_of(st.sampled_from(["5", "13", "17", "29", "37", "41", "53", "61"]), _integers)
+_literals = st.one_of(st.text("01", min_size=1, max_size=64), st.text("01x2 ,", max_size=6), st.just("-"))
+_labels = st.sampled_from(["", "", "a=", "b=", "c=", "d="])
+
+
+def _same_period(count):
+    # literals that get past the period checks, so that equiv and classify search
+    return st.integers(1, 64).flatmap(
+        lambda n: st.lists(st.text("01", min_size=n, max_size=n), min_size=count, max_size=count))
+
+
+def _labelled(literals):
+    # each literal of a drawn list with or without a label
+    return literals.flatmap(lambda items: st.lists(_labels, min_size=len(items), max_size=len(items))
+                            .map(lambda labels: list(map(str.__add__, labels, items))))
+
+
+def _options(values):
+    # each option given or not, in any order: flag -> value strategy, or None for a flag
+    return st.tuples(*(
+        st.one_of(st.just(()), st.just((flag,)) if value is None else value.map(lambda v, f=flag: (f, v)))
+        for flag, value in values.items()
+    )).flatmap(st.permutations).map(lambda groups: [word for group in groups for word in group])
+
+
+_ARGVS = {
+    "oacf": st.tuples(st.tuples(_literals).map(list), _options({"--pacf": None, "--distribution": None})),
+    "apply": st.tuples(
+        st.tuples(st.sampled_from(sorted(_APPLY_OPS) + ["rotate"]), _literals, st.lists(_integers, max_size=1))
+        .map(lambda words: [words[0], words[1], *words[2]]), _options({})),
+    "construct": st.tuples(st.tuples(st.one_of(st.integers(1, 16).map(str), _integers), _primes).map(list),
+                           _options({"--alpha": _integers, "--emit-u": None})),
+    "verify": st.tuples(st.just([]), _options({
+        "--tables": None, "--table4": None, "--alpha": _integers,
+        "--primes": st.lists(_primes, min_size=1, max_size=3).map(",".join)})),
+    "classify": st.one_of(
+        st.tuples(_labelled(st.one_of(_same_period(4), st.lists(_literals, max_size=4))), _options({})),
+        st.tuples(st.just([]), _options({"--parker": _primes, "--alpha": _integers})),
+        st.tuples(st.lists(_literals, max_size=2), _options({"--parker": _primes, "--alpha": _integers}))),
+    "equiv": st.tuples(st.one_of(_same_period(2), st.lists(_literals, min_size=2, max_size=2)),
+                       _options({"--without-negadecimation": None})),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(_ARGVS)), data=st.data(), json_flag=st.booleans(),
+       extra=st.sampled_from([[]] * 6 + [["--bogus"], ["--help"], ["0110"]]),
+       stdin=st.lists(st.tuples(_labels, _literals).map("".join), max_size=3).map("\n".join))
+def test_any_argv_exits_with_a_documented_code(command, data, json_flag, extra, stdin):
+    positionals, options = data.draw(_ARGVS[command])
+    argv = [command, *positionals, *options, *(["--json"] if json_flag else []), *extra]
+    result = run(argv, stdin)
+    if result["argparse"]:
+        assert result["exit"] in (0, 2), argv
+    elif result["exit"] in (2, 3):
+        assert result["stdout"] == "" and re.fullmatch(r"error: [^\n]*\n", result["stderr"]), argv
+    else:
+        assert result["exit"] in (0, 4) and result["stderr"] == "", argv
+        if json_flag:
+            assert result["stdout"].count("\n") == 1, argv
+            json.loads(result["stdout"])

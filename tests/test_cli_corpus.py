@@ -25,13 +25,12 @@ import pytest
 
 from oacf.cli import main
 
+from goldens import PAIR10_A, PAIR10_B, SEQ31, SEQ31_NEGADEC3
+
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 COLUMNS = "80"
 
-SEQ31 = "0111101010" "0010011100" "00011001011"
-SEQ31_NEGADEC3 = "0110110011" "1010110101" "01100010000"
 SEQ31_NEGATED = "1000010101" "1101100011" "11100110100"
-PAIR10_A, PAIR10_B = "1110100011", "1001101110"
 
 # (argv, stdin or None)
 INVOCATIONS = [
