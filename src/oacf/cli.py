@@ -3,7 +3,8 @@
 Subcommands: oacf, apply, construct, verify, classify, equiv, each declared
 once, with its handler, help line and arguments, in the ``_COMMANDS`` table.
 Text output is line-oriented and stable across runs; --json emits a single
-JSON document carrying the same numbers.
+JSON document carrying the same numbers.  This module renders every report:
+the library's records carry data only.
 
 Exit codes: 0 success, 2 usage/parse/precondition error, 3 construction
 inapplicable, 4 verification failure or no witness found.
@@ -128,6 +129,42 @@ def _parse_primes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
 
 
+def _braced(values) -> str:
+    return "{" + ", ".join(map(str, values)) + "}"
+
+
+def _table_line(row: dict) -> str:
+    """The text line of a verify row, read from its JSON dict: the fields of
+    its VerificationReport, whose tuples ``json`` writes as arrays."""
+    head = f"c{row['index']:02d} p={row['p']}:"
+    if not row["matched"]:
+        return f"{head} FAIL computed={_braced(row['computed'])} expected={_braced(row['expected'])}"
+    note = " (collapsed)" if row["collapsed"] else ""
+    return f"{head} PASS branch={row['branch']} values={_braced(row['computed'])}{note}"
+
+
+def _table4_row(report) -> dict:
+    """The JSON dict of one pairing relation: its Table4RowReport's fields,
+    with ``negate_first`` named ``negation``, plus its direction and pass."""
+    row = dict(vars(report), direction=report.direction, **{"pass": report.passed})
+    row["negation"] = row.pop("negate_first")
+    if report.witness:
+        row["witness"] = vars(report.witness)
+    return row
+
+
+def _table4_line(row: dict) -> str:
+    """The text line of a pairing relation, read from its JSON dict."""
+    source = f"negate({row['source']})" if row["negation"] else row["source"]
+    w = row["witness"]
+    witness = f"(d={w['d']}, t={w['t']})" if w else "none"
+    return (
+        f"row {row['row']} p={row['p']}: {row['target']} = negadecimate({source}, d) "
+        f"{'PASS' if row['pass'] else 'FAIL'} direction={row['direction']} "
+        f"d_printed={row['d_printed']} d_inverse={row['d_inverse']} witness={witness}"
+    )
+
+
 def _cmd_verify(args):
     run_tables = args.tables or not (args.tables or args.table4)
     run_table4 = args.table4 or not (args.tables or args.table4)
@@ -149,19 +186,19 @@ def _cmd_verify(args):
     ok = True
 
     if run_tables:
-        reports = []
+        rows = []
         for p in usable:
             for index in range(1, 17):
                 if not is_applicable(index, p):
                     continue
-                report = verify_table(index, p, args.alpha)
-                reports.append(report)
-                lines.append(report.text_line())
-        passed = sum(r.matched for r in reports)
-        lines.append(f"tables: {passed}/{len(reports)} rows passed")
-        payload["tables"] = [r.to_json_dict() for r in reports]
+                row = vars(verify_table(index, p, args.alpha))
+                rows.append(row)
+                lines.append(_table_line(row))
+        passed = sum(row["matched"] for row in rows)
+        lines.append(f"tables: {passed}/{len(rows)} rows passed")
+        payload["tables"] = rows
         # an all-skipped run is a notice, not a failure
-        ok &= passed == len(reports)
+        ok &= passed == len(rows)
 
     if run_table4:
         # construction 1 is a row for f even, construction 5 one for f odd
@@ -174,11 +211,11 @@ def _cmd_verify(args):
             payload["table4"] = None
         else:
             report = verify_table4(p_even, p_odd)
-            for row in report.rows:
-                lines.append(row.text_line())
-            confirmed = sum(r.passed for r in report.rows)
-            lines.append(f"table4: {confirmed}/{len(report.rows)} relations confirmed")
-            payload["table4"] = report.to_json_dict()
+            rows = [_table4_row(row) for row in report.rows]
+            lines.extend(map(_table4_line, rows))
+            confirmed = sum(row["pass"] for row in rows)
+            lines.append(f"table4: {confirmed}/{len(rows)} relations confirmed")
+            payload["table4"] = dict(vars(report), rows=rows, **{"pass": report.all_passed})
             ok &= report.all_passed
 
     lines.append("verify: PASS" if ok else "verify: FAIL")
@@ -219,18 +256,21 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
 
 
 def _cmd_classify(args):
-    classes = classify(_labeled_from_args(args))
-    payload = [cls.to_json_dict(k) for k, cls in enumerate(classes, start=1)]
-    lines = []
-    for k, cls in enumerate(classes, start=1):
-        witnesses = " ".join(
-            f"{m}=(d={cls.witnesses[m].d},t={cls.witnesses[m].t})" for m in cls.members
-        )
+    payload, lines = [], []
+    for k, cls in enumerate(classify(_labeled_from_args(args)), start=1):
+        witnesses = [dict(member=m, **vars(cls.witnesses[m])) for m in cls.members]
+        payload.append({
+            "class": k,
+            "members": list(cls.members),
+            "representative": cls.representative,
+            "witnesses": witnesses,
+        })
+        pairs = " ".join(f"{w['member']}=(d={w['d']},t={w['t']})" for w in witnesses)
         lines.append(
             f"class {k}: representative={cls.representative} "
-            f"members={','.join(cls.members)} witnesses: {witnesses}"
+            f"members={','.join(cls.members)} witnesses: {pairs}"
         )
-    lines.append(f"classes: {len(classes)}")
+    lines.append(f"classes: {len(payload)}")
     return EXIT_OK, payload, lines
 
 
@@ -250,7 +290,7 @@ def _cmd_equiv(args):
     payload = {
         "equivalent": reachable,
         "restricted_to_shift_and_negation": args.without_negadecimation,
-        "witness": {"d": witness.d, "t": witness.t} if witness else None,
+        "witness": vars(witness) if witness else None,
     }
     return (EXIT_OK if reachable else EXIT_VERIFY), payload, (line,)
 

@@ -197,20 +197,6 @@ class VerificationReport:
     expected: tuple[int, ...]
     collapsed: bool
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self), computed=list(self.computed), expected=list(self.expected))
-
-    def text_line(self) -> str:
-        values = "{" + ", ".join(str(v) for v in self.computed) + "}"
-        if self.matched:
-            note = " (collapsed)" if self.collapsed else ""
-            return (
-                f"c{self.index:02d} p={self.p}: PASS branch={self.branch} "
-                f"values={values}{note}"
-            )
-        expected = "{" + ", ".join(str(v) for v in self.expected) + "}"
-        return f"c{self.index:02d} p={self.p}: FAIL computed={values} expected={expected}"
-
 
 def _instantiate(terms, x: int, y: int) -> tuple[int, ...]:
     values = set()

@@ -148,17 +148,6 @@ class EquivalenceClass:
     members: tuple[str, ...]
     witnesses: dict[str, AffineWitness]
 
-    def to_json_dict(self, class_index: int) -> dict:
-        return {
-            "class": class_index,
-            "members": list(self.members),
-            "representative": self.representative,
-            "witnesses": [
-                {"member": m, "d": self.witnesses[m].d, "t": self.witnesses[m].t}
-                for m in self.members
-            ],
-        }
-
 
 def classify(labeled) -> list[EquivalenceClass]:
     """Partition labeled sequences under OACF equivalence.
@@ -242,28 +231,6 @@ class Table4RowReport:
     def passed(self) -> bool:
         return self.printed_match or self.inverse_match
 
-    def to_json_dict(self) -> dict:
-        payload = dict(vars(self), direction=self.direction, **{"pass": self.passed})
-        payload["negation"] = payload.pop("negate_first")
-        if self.witness:
-            payload["witness"] = {"d": self.witness.d, "t": self.witness.t}
-        return payload
-
-    def text_line(self) -> str:
-        op = f"negadecimate(negate({self.source}), d)" if self.negate_first else (
-            f"negadecimate({self.source}, d)"
-        )
-        if self.witness:
-            witness = f"witness=(d={self.witness.d}, t={self.witness.t})"
-        else:
-            witness = "witness=none"
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"row {self.row} p={self.p}: {self.target} = {op} {status} "
-            f"direction={self.direction} d_printed={self.d_printed} "
-            f"d_inverse={self.d_inverse} {witness}"
-        )
-
 
 @_record(frozen=True)
 class Table4Report:
@@ -275,25 +242,18 @@ class Table4Report:
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def to_json_dict(self) -> dict:
-        rows = [row.to_json_dict() for row in self.rows]
-        return dict(vars(self), rows=rows, **{"pass": self.all_passed})
-
 
 def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
     """Check the eight explicit pairing relations among the sixteen
     constructions, plus a generic witness search per pair.
 
     Rows 1-2 run at ``p_even_f`` (constructions 1-4 need f even), rows 3-8
-    at ``p_odd_f``, each with the smallest primitive root of its prime.
+    at ``p_odd_f``, each with the smallest primitive root of its prime; a
+    prime of the other f parity raises ``construct_in``'s
+    ConstructionInapplicableError.
     """
     sys_even = build_system(p_even_f)
     sys_odd = build_system(p_odd_f)
-    if sys_even.f % 2 != 0:
-        raise ValueError(f"p_even_f={p_even_f} has odd f={sys_even.f}")
-    if sys_odd.f % 2 != 1:
-        raise ValueError(f"p_odd_f={p_odd_f} has even f={sys_odd.f}")
-
     # each index appears in one relation only, so each construction is built once
     even, odd = ((system, crt_iso(system.p)[0]) for system in (sys_even, sys_odd))
     rows = []

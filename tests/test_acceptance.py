@@ -160,14 +160,14 @@ def test_criterion_5_value_set_tables():
                 failures.append(report)
     assert len(branches) == 56
     assert all(branch in ("+y", "-y", "both") for _, _, branch in branches)
-    assert not failures, [r.text_line() for r in failures]
+    assert not failures, [vars(r) for r in failures]
     _report(5, "16 value-set rows over 6 primes", True,
             "branch recorded for each of 56 rows")
 
 
 def test_criterion_6_pairing_relations_and_classification():
     report = verify_table4(17, 13)
-    assert report.all_passed, [r.text_line() for r in report.rows]
+    assert report.all_passed, [vars(r) for r in report.rows]
     directions = {r.row: r.direction for r in report.rows}
     print(f"  criterion 6 detail: 8/8 explicit relations hold; "
           f"parameter direction per row: {directions}", flush=True)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oacf import (
@@ -21,6 +23,7 @@ from oacf import (
     try_parker_split,
     verify_table,
 )
+from oacf.cli import main
 
 import oracle
 from oracle import build_support, cset, expand_gamma
@@ -211,12 +214,13 @@ class TestVerifyTable:
             for index in range(5, 17):
                 assert verify_table(index, p).matched, (index, p)
 
-    def test_report_serialization(self):
-        report = verify_table(1, 17)
-        d = report.to_json_dict()
+    def test_report_serialization(self, capsys):
+        main(["verify", "--tables", "--primes", "17", "--json"])
+        d = json.loads(capsys.readouterr().out)["tables"][0]
         assert d["index"] == 1 and d["p"] == 17 and d["matched"] is True
         assert d["computed"] == sorted(d["computed"])
-        assert "PASS" in report.text_line()
+        main(["verify", "--tables", "--primes", "17"])
+        assert capsys.readouterr().out.startswith("c01 p=17: PASS")
 
     @staticmethod
     def _full_value_set(index, p, alpha=None):

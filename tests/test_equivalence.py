@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -494,9 +495,10 @@ class TestTable4:
         assert verify_table4(17, 5).all_passed
         assert verify_table4(41, 29).all_passed
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, capsys):
         report = verify_table4(17, 13)
-        d = report.to_json_dict()
+        main(["verify", "--table4", "--primes", "17,13", "--json"])
+        d = json.loads(capsys.readouterr().out)["table4"]
         assert d["pass"] is True
         assert len(d["rows"]) == 8
         assert d["rows"][0]["source"] == "s1" and d["rows"][0]["target"] == "s4"
@@ -506,4 +508,5 @@ class TestTable4:
             "d_inverse", "inverse_match", "direction", "witness", "pass",
         }
         assert d["rows"][0]["witness"] == {"d": report.rows[0].witness.d, "t": report.rows[0].witness.t}
-        assert "PASS" in report.rows[0].text_line()
+        main(["verify", "--table4", "--primes", "17,13"])
+        assert "PASS" in capsys.readouterr().out.splitlines()[0]
