@@ -1,9 +1,33 @@
-"""Golden test vectors.
+"""Golden test vectors, and the helpers that more than one test module uses.
 
 A period-10 pair related by 3-decimation (which does NOT preserve the
 odd-periodic profile), and a period-31 pair related by 3-fold
 nega-decimation (which does), with their full odd-periodic profiles.
+
+``seq``, ``random_sequence`` and ``random_unit`` are defined here only;
+the test modules import them from this one definition.
 """
+
+import math
+
+from oacf import BinarySequence
+
+
+def seq(text):
+    return BinarySequence.from_string(text)
+
+
+def random_sequence(rng, n):
+    return BinarySequence(rng.getrandbits(n), n)
+
+
+def random_unit(rng, modulus):
+    """A random odd d in [1, modulus) with gcd(d, modulus) = 1."""
+    while True:
+        d = rng.randrange(1, modulus, 2)
+        if math.gcd(d, modulus) == 1:
+            return d
+
 
 # period-10 pair: PAIR10_B is the 3-decimation of PAIR10_A
 PAIR10_A = "1110100011"

@@ -43,6 +43,7 @@ from oacf import (
 
 import goldens
 import oracle
+from goldens import random_unit
 
 
 def _report(number, name, passed, detail=""):
@@ -54,13 +55,6 @@ def _report(number, name, passed, detail=""):
 def all_sequences(n):
     for word in range(1 << n):
         yield BinarySequence(word, n)
-
-
-def random_unit(rng, modulus):
-    while True:
-        d = rng.randrange(1, modulus, 2)
-        if math.gcd(d, modulus) == 1:
-            return d
 
 
 def test_criterion_1_period10_pair():

@@ -215,6 +215,27 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[-2:] == ["tables: 12/12 rows passed", "verify: PASS"]
 
+    def test_failed_row(self, capsys, monkeypatch):
+        # row 9 built as construction 5, whose values miss row 9's template
+        construct_in = oacf.constructions.construct_in
+        monkeypatch.setattr(oacf.constructions, "construct_in",
+                            lambda system, index: construct_in(system, 5 if index == 9 else index))
+        computed, expected = [-10, -4, -2, 0, 2, 4, 10], [-12, -4, -2, 0, 2, 4, 12]
+        code, out, _ = run_cli(capsys, "verify", "--tables", "--primes", "13")
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[4] == (
+            "c09 p=13: FAIL computed={-10, -4, -2, 0, 2, 4, 10} expected={-12, -4, -2, 0, 2, 4, 12}"
+        )
+        assert lines[-2:] == ["tables: 11/12 rows passed", "verify: FAIL"]
+        code, out, _ = run_cli(capsys, "verify", "--tables", "--primes", "13", "--json")
+        assert code == 4
+        payload = json.loads(out)
+        row = payload["tables"][4]
+        assert (row["index"], row["matched"], row["branch"]) == (9, False, None)
+        assert (row["computed"], row["expected"]) == (computed, expected)
+        assert payload["pass"] is False
+
     def test_alpha_needs_single_prime(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--tables", "--alpha", "2")
         assert code == 2

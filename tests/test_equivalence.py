@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import re
 
@@ -34,21 +33,7 @@ from oacf.sequences import _correlations
 
 import goldens
 import oracle
-
-
-def seq(text):
-    return BinarySequence.from_string(text)
-
-
-def random_sequence(rng, n):
-    return BinarySequence(rng.getrandbits(n), n)
-
-
-def random_unit(rng, modulus):
-    while True:
-        d = rng.randrange(1, modulus, 2)
-        if math.gcd(d, modulus) == 1:
-            return d
+from goldens import random_sequence, random_unit, seq
 
 
 class TestApplyWitness:
@@ -374,6 +359,7 @@ class TestClassify:
         assert len(classes) == 1
         assert classes[0].representative == "only"
         assert classes[0].members == ("only",)
+        assert classify({}) == []
 
     def test_witnesses_reproduce_members(self):
         sys13 = build_system(13)
@@ -486,9 +472,10 @@ class TestTable4:
         assert nega_decimate(s9, d) == s12
 
     def test_parity_validation(self):
-        with pytest.raises(ValueError):
+        # construct_in's parity check, a ValueError, names the construction
+        with pytest.raises(ValueError, match=re.escape("construction 1 requires f even (p=13 has f=3)")):
             verify_table4(13, 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("construction 5 requires f odd (p=17 has f=4)")):
             verify_table4(17, 17)
 
     def test_works_at_other_primes(self):

@@ -29,14 +29,7 @@ from oacf import (
 
 import goldens
 import oracle
-
-
-def seq(text):
-    return BinarySequence.from_string(text)
-
-
-def random_sequence(rng, n):
-    return BinarySequence(rng.getrandbits(n), n)
+from goldens import random_sequence, seq
 
 
 class TestBinarySequence:
@@ -46,6 +39,7 @@ class TestBinarySequence:
         assert s.bits() == [0, 1, 1, 0]
         assert s.period == 4
         assert len(s) == 4
+        assert repr(s) == "BinarySequence('0110')"
 
     def test_separators_ignored(self):
         assert seq("0 1,1\t0\n") == seq("0110")
@@ -92,7 +86,9 @@ class TestCorrelation:
         assert pacf(u, 3) == -14  # twice the odd-periodic value at shift 3
 
     def test_oacf_all_zero(self):
-        assert oacf_profile(seq("0000")).values == (4, 2, 0, -2)
+        profile = oacf_profile(seq("0000"))
+        assert profile.values == (4, 2, 0, -2)
+        assert profile.period == 4
 
     def test_oacf_period10(self):
         assert oacf_profile(seq(goldens.PAIR10_A)).values == goldens.PAIR10_A_OACF
@@ -140,6 +136,7 @@ class TestDistribution:
         assert dist.multiset_notation() == (
             "{* (-9)^2, (-7)^3, (-5)^3, -3, (-1)^6, 1^6, 3, 5^3, 7^3, 9^2, 31 *}"
         )
+        assert repr(dist) == f"ValueMultiset({dist.multiset_notation()})"
 
 
 class TestPeakAndOptimality:
@@ -333,6 +330,8 @@ class TestInvariants:
         a = oacf_distribution(seq(goldens.PAIR10_A))
         b = oacf_distribution(seq(goldens.PAIR10_B))
         assert a != b
+        # equal multisets hash alike
+        assert len({a, b, oacf_distribution(seq(goldens.PAIR10_A))}) == 2
 
 
 def _parse_outcome(parse, text):
