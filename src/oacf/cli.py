@@ -14,15 +14,8 @@ import argparse
 import functools
 import shutil
 import sys
+from importlib import import_module
 
-from .constructions import (
-    ConstructionInapplicableError,
-    construct_in,
-    is_applicable,
-    verify_table,
-)
-from .cyclotomy import _check_p_limit, build_system, is_prime
-from .equivalence import classify, oacf_equivalent, reachable_without_negadecimation, verify_table4
 from .sequences import (
     MAX_N,
     BinarySequence,
@@ -36,6 +29,37 @@ from .sequences import (
     oacf_profile,
     pacf_profile,
 )
+
+# The names taken from the library's other modules, by module, until they are
+# bound here: ``_load`` binds a module's names when a handler first needs
+# them, so that ``oacf`` and ``apply`` import ``sequences`` alone, and
+# ``__getattr__`` when they are read from outside (``oacf.cli.construct_in``).
+# A name already bound, such as a replacement set by a test, is kept.
+_UNBOUND = {
+    "cyclotomy": ("_check_p_limit", "build_system", "is_prime"),
+    "constructions": ("ConstructionInapplicableError", "construct_in", "is_applicable", "verify_table"),
+    "equivalence": ("classify", "oacf_equivalent", "reachable_without_negadecimation", "verify_table4"),
+}
+
+
+def _load(*modules: str) -> None:
+    for module in modules:
+        names = _UNBOUND.get(module)
+        if names:
+            imported = import_module(f".{module}", __package__)
+            for name in names:
+                globals().setdefault(name, getattr(imported, name))
+            # dropped only once bound, so that a concurrent call binds them too
+            _UNBOUND.pop(module, None)
+
+
+def __getattr__(name: str):
+    for module, names in list(_UNBOUND.items()):
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,6 +131,7 @@ def _cmd_apply(args):
 
 
 def _cmd_construct(args):
+    _load("cyclotomy", "constructions")
     system = build_system(args.p, args.alpha)
     s, u = construct_in(system, args.index)
     payload = {
@@ -166,6 +191,7 @@ def _table4_line(row: dict) -> str:
 
 
 def _cmd_verify(args):
+    _load("cyclotomy", "constructions")
     run_tables = args.tables or not (args.tables or args.table4)
     run_table4 = args.table4 or not (args.tables or args.table4)
     primes = args.primes if args.primes is not None else list(DEFAULT_PRIMES)
@@ -210,6 +236,7 @@ def _cmd_verify(args):
             )
             payload["table4"] = None
         else:
+            _load("equivalence")
             report = verify_table4(p_even, p_odd)
             rows = [_table4_row(row) for row in report.rows]
             lines.extend(map(_table4_line, rows))
@@ -227,6 +254,7 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
     if args.parker is not None:
         if args.sequences:
             raise ValueError("give either sequences or --parker P, not both")
+        _load("cyclotomy", "constructions")
         system = build_system(args.parker, args.alpha)
         return {
             f"s{i}": construct_in(system, i)[0]
@@ -256,6 +284,7 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
 
 
 def _cmd_classify(args):
+    _load("equivalence")
     payload, lines = [], []
     for k, cls in enumerate(classify(_labeled_from_args(args)), start=1):
         witnesses = [dict(member=m, **vars(cls.witnesses[m])) for m in cls.members]
@@ -275,6 +304,7 @@ def _cmd_classify(args):
 
 
 def _cmd_equiv(args):
+    _load("equivalence")
     _check_stdin_once((args.first, args.second))
     first = _read_sequence(args, "first")
     second = _read_sequence(args, "second")
@@ -383,7 +413,9 @@ def main(argv=None) -> int:
         code, payload, lines = _COMMANDS[args.command][0](args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE if isinstance(exc, ConstructionInapplicableError) else EXIT_USAGE
+        # only a handler that has loaded constructions can raise its error
+        inapplicable = globals().get("ConstructionInapplicableError", ())
+        return EXIT_INAPPLICABLE if isinstance(exc, inapplicable) else EXIT_USAGE
     if args.json:
         import json  # loaded here so that text output, the default, skips its import
 

@@ -254,13 +254,16 @@ def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
     """
     sys_even = build_system(p_even_f)
     sys_odd = build_system(p_odd_f)
-    # each index appears in one relation only, so each construction is built once
     even, odd = ((system, crt_iso(system.p)[0]) for system in (sys_even, sys_odd))
+    # every pair is built first, so that a prime of the wrong f parity raises
+    # before any check or search; each index appears in one relation only, so
+    # each construction is built once
+    pairs = []
+    for relation in TABLE4_RELATIONS:
+        system, eta = even if relation[1] <= 4 else odd
+        pairs.append((relation, system, eta, *(construct_in(system, i)[0] for i in relation[1:3])))
     rows = []
-    for row, i_src, i_tgt, exponent, negate_first in TABLE4_RELATIONS:
-        system, eta = even if i_src <= 4 else odd
-        source, _ = construct_in(system, i_src)
-        target, _ = construct_in(system, i_tgt)
+    for (row, i_src, i_tgt, exponent, negate_first), system, eta, source, target in pairs:
         two_n = 2 * source.period
         d_printed = eta(1, pow(system.alpha, exponent, system.p))
         d_inverse = pow(d_printed, -1, two_n)

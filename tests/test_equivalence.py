@@ -7,6 +7,7 @@ import pytest
 from oacf import (
     AffineWitness,
     BinarySequence,
+    ConstructionInapplicableError,
     NotCoprimeError,
     apply_witness,
     build_system,
@@ -477,6 +478,17 @@ class TestTable4:
             verify_table4(13, 13)
         with pytest.raises(ValueError, match=re.escape("construction 5 requires f odd (p=17 has f=4)")):
             verify_table4(17, 17)
+
+    def test_wrong_parity_raises_before_any_search(self, monkeypatch):
+        # rows 1-2 are valid at p=17, so only building every pair first
+        # keeps their witness searches from running before row 3 raises
+        searches = []
+        search = oacf.equivalence.oacf_equivalent
+        monkeypatch.setattr(oacf.equivalence, "oacf_equivalent",
+                            lambda a, b: searches.append((a, b)) or search(a, b))
+        with pytest.raises(ConstructionInapplicableError):
+            verify_table4(17, 17)
+        assert searches == []
 
     def test_works_at_other_primes(self):
         assert verify_table4(17, 5).all_passed

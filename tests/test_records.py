@@ -1,4 +1,5 @@
-"""The package's records and what importing the CLI loads."""
+"""The package's records, and the modules that importing the package and
+running the CLI load."""
 
 import os
 import subprocess
@@ -19,15 +20,56 @@ from oacf import (
     verify_table4,
 )
 
+from test_api import PUBLIC_NAMES
+
+
+def _child(code: str) -> list[str]:
+    """The words that ``code`` prints in a fresh interpreter, where no test
+    has imported a module yet."""
+    env = dict(os.environ, PYTHONPATH=str(Path(oacf.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     child = (
         "import sys; before = set(sys.modules); import oacf.cli; "
         "print(' '.join(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before))))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(oacf.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    assert _child(child) == []
+
+
+_PRINT_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'oacf')))"
+KERNELS = ["oacf", "oacf.cli", "oacf.sequences"]
+LIBRARY = ["oacf.constructions", "oacf.cyclotomy", "oacf.equivalence"]
+
+
+def test_package_import_loads_no_submodule():
+    assert _child(f"import sys, oacf; {_PRINT_LOADED}") == ["oacf"]
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["oacf", "0110"], 0, KERNELS),
+    (["apply", "negate", "0110"], 0, KERNELS),
+    (["oacf", "0x1"], 2, KERNELS),
+    (["verify", "--tables", "--primes", "13"], 0, sorted(KERNELS + LIBRARY[:2])),
+    # bench/spans.py's Tracer.install looks up every library module, and the
+    # kernels pool loads them all with its d=1 equiv requests
+    (["equiv", "0110", "1001", "--without-negadecimation"], 0, sorted(KERNELS + LIBRARY)),
+], ids=["oacf", "apply", "oacf-error", "verify-tables", "equiv-d1"])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, code, loaded):
+    child = (
+        "import contextlib, io, sys; from oacf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    print(main({argv!r}), file=sys.__stdout__)\n"
+        + _PRINT_LOADED
+    )
+    assert _child(child) == [str(code), *loaded]
+
+
+def test_star_import_binds_the_public_names():
+    child = "ns = {}; exec('from oacf import *', ns); print(' '.join(sorted(set(ns) - {'__builtins__'})))"
+    assert _child(child) == PUBLIC_NAMES
 
 
 class TestAffineWitness:
