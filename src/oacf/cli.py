@@ -377,11 +377,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     """The CLI's parser for ``argv``, built from ``_COMMANDS``, the one
     declaration of the subcommands.  All six are listed, each with its help
     line, but only ``command``, the first word of argv that names a
-    subcommand, gets its -h and its arguments.  The top-level parser has no
-    option that takes a value, so a word before that name is -h (which
-    exits), an unknown option (set aside as an extra) or a positional that
-    names no subcommand (an invalid-choice error): no argv reaches a
-    subparser other than ``command``."""
+    subcommand, gets a parser, with its -h and its arguments; the entry of
+    every other name maps to None.  The top-level parser has no option that
+    takes a value, so a word before that name is -h (which exits), an
+    unknown option (set aside as an extra) or a positional that names no
+    subcommand (an invalid-choice error): no argv reaches an entry other
+    than ``command``'s.  The parser is built on every call; one built once
+    per process waits on the benchmark's replay log (ROADMAP item 6)."""
     command = next((word for word in argv if word in _COMMANDS), None)
     # argparse makes a formatter for every add_argument, and each one would
     # read the terminal size; read it once, as HelpFormatter would
@@ -392,9 +394,15 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="Odd-periodic autocorrelation toolkit for binary sequences.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, prog="oacf")
+    # add_parser keeps each name and help line itself and asks parser_class
+    # only for the parser, by its prog "oacf NAME"
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="oacf",
+        parser_class=lambda prog, **kwargs: (
+            argparse.ArgumentParser(prog, **kwargs) if prog == f"oacf {command}" else None),
+    )
     for name, (_, summary, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, add_help=name == command, formatter_class=formatter)
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
         if name == command:
             p.add_argument("--json", action="store_true", help="emit a JSON document")
             for flags, keywords in arguments:

@@ -1,11 +1,13 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,9 @@ from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oac
 from oacf.cli import _APPLY_OPS, main
 
 import goldens
+import oracle
 from test_cli_corpus import run
+from test_properties import bit_lists, units
 
 
 def run_cli(capsys, *args):
@@ -495,17 +499,22 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
 
 
 def test_argument_count_per_call(capsys, monkeypatch):
-    # only the subparser that argv names, anywhere in it, gets its -h and its
-    # arguments; -h and an empty argv name none, so they build only the
-    # top-level -h
-    calls = []
-    real = argparse._ActionsContainer.add_argument
+    # only the subparser that argv names, anywhere in it, is built, with its
+    # -h and its arguments; -h and an empty argv name none, so they build
+    # only the top-level parser and its -h
+    calls, parsers = [], []
+    real_add, real_init = argparse._ActionsContainer.add_argument, argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return real(self, *args, **kwargs)
+        return real_add(self, *args, **kwargs)
+
+    def constructing(self, *args, **kwargs):
+        parsers.append(args)
+        real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructing)
     for argv, code, count, helps in [
         (("oacf", "0110"), 0, 6, 2), (("apply", "negate", "0110"), 0, 6, 2),
         (("construct", "5", "13"), 0, 7, 2), (("verify", "--primes", "13"), 0, 7, 2),
@@ -514,8 +523,11 @@ def test_argument_count_per_call(capsys, monkeypatch):
         (("--json", "equiv", "0110", "1001"), 2, 6, 2), (("-h", "verify"), 0, 7, 2),
     ]:
         calls.clear()
+        parsers.clear()
         assert run_cli(capsys, *argv)[0] == code
-        assert (len(calls), sum(args[:1] == ("-h",) for args in calls)) == (count, helps), argv
+        counts = (len(calls), sum(args[:1] == ("-h",) for args in calls), len(parsers))
+        # one parser per -h: the top level's and the named subcommand's
+        assert counts == (count, helps, helps), argv
 
 
 # The argv grammar, drawn: each subcommand with its options, valid and invalid
@@ -583,3 +595,137 @@ def test_any_argv_exits_with_a_documented_code(command, data, json_flag, extra, 
         if json_flag:
             assert result["stdout"].count("\n") == 1, argv
             json.loads(result["stdout"])
+
+
+# Text and --json replies of one argv, and oacf/apply replies against the
+# elementwise oracle.  The text reader turns a text reply back into the JSON
+# fields it prints, so each assert compares numbers and not renderings.
+_PARKER_PRIMES = (5, 13, 17, 29, 37, 41, 53, 61)
+
+
+def _text_of(bits):
+    return "".join(map(str, bits))
+
+
+def _multiset_item(item):
+    # v, v^m or (v)^m, as multiset_notation writes them
+    value, mult = re.fullmatch(r"\(?(-?\d+)\)?(?:\^(\d+))?", item).groups()
+    return [int(value), int(mult or 1)]
+
+
+def _read_text(command, out):
+    """The JSON fields that a text reply prints, read back from it."""
+    lines = out.splitlines()
+    if command == "oacf":
+        if lines[0].startswith("{* "):
+            distribution = [_multiset_item(item) for item in lines[0][3:-3].split(", ")]
+            return {"distribution": distribution, "period": sum(m for _, m in distribution)}
+        values = [int(v) for v in lines[0].split()]
+        return {"values": values, "period": len(values)}
+    if command == "apply":
+        return {"result": lines[0]}
+    if command == "construct":
+        return dict(zip(("s", "u"), lines))
+    if command == "equiv":
+        found = re.fullmatch(r"witness d=(\d+) t=(\d+)", lines[0])
+        return {
+            "equivalent": bool(found) or lines[0] == "reachable without nega-decimation",
+            "witness": {"d": int(found[1]), "t": int(found[2])} if found else None,
+        }
+    classes = []
+    for line in lines[:-1]:
+        k, representative, members, pairs = re.fullmatch(
+            r"class (\d+): representative=(\S+) members=(\S+) witnesses: (.*)", line).groups()
+        classes.append({
+            "class": int(k), "representative": representative, "members": members.split(","),
+            "witnesses": [{"member": m, "d": int(d), "t": int(t)}
+                          for m, d, t in re.findall(r"(\S+)=\(d=(\d+),t=(\d+)\)", pairs)],
+        })
+    assert lines[-1] == f"classes: {len(classes)}"
+    return classes
+
+
+@st.composite
+def _replying_argvs(draw):
+    # an argv of each subcommand that replies (exit 0 or 4), with its options
+    command = draw(st.sampled_from(["oacf", "apply", "construct", "equiv", "classify"]))
+    bits = draw(bit_lists(64))
+    n = len(bits)
+    if command == "oacf":
+        options = draw(_options({"--pacf": None, "--distribution": None}))
+        return command, ["oacf", _text_of(bits), *options]
+    if command == "apply":
+        op = draw(st.sampled_from(sorted(_APPLY_OPS)))
+        if op == "negate":
+            params = []
+        elif op.endswith("shift"):
+            params = [draw(st.integers(0, n - 1))]
+        else:
+            params = [draw(units(n if op == "decimate" else 2 * n))]
+        return command, ["apply", op, _text_of(bits), *map(str, params)]
+    if command == "construct":
+        p = draw(st.sampled_from(_PARKER_PRIMES))
+        index = draw(st.sampled_from([i for i in range(1, 17) if oacf.is_applicable(i, p)]))
+        return command, ["construct", str(index), str(p), *draw(_options({"--emit-u": None}))]
+    # a drawn witness image of the first sequence, or any sequence of its period
+    others = st.one_of(
+        st.tuples(units(2 * n), st.integers(0, 2 * n - 1)).map(lambda w: _text_of(oracle.apply_witness_naive(bits, *w))),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(_text_of))
+    if command == "equiv":
+        options = draw(_options({"--without-negadecimation": None}))
+        return command, ["equiv", _text_of(bits), draw(others), *options]
+    if draw(st.booleans()):
+        return command, ["classify", "--parker", str(draw(st.sampled_from(_PARKER_PRIMES)))]
+    literals = [_text_of(bits), *draw(st.lists(others, max_size=3))]
+    # distinct labels; an entry without one is labelled seqK
+    labels = draw(st.lists(st.sampled_from(["", "a=", "b=", "c=", "d="]), min_size=len(literals),
+                           max_size=len(literals), unique_by=lambda label: label or object()))
+    return command, ["classify", *map(str.__add__, labels, literals)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(drawn=_replying_argvs())
+def test_json_carries_the_numbers_of_the_text(drawn):
+    command, argv = drawn
+    text, document = run(argv), run([*argv, "--json"])
+    assert text["exit"] == document["exit"] in (0, 4), argv
+    payload = json.loads(document["stdout"])
+    read = _read_text(command, text["stdout"])
+    if command != "classify":
+        payload = {key: payload[key] for key in read}
+    assert read == payload, argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(bits=bit_lists(64), data=st.data(), json_flag=st.booleans())
+def test_oacf_and_apply_replies_equal_the_oracle(bits, data, json_flag):
+    n = len(bits)
+    command = data.draw(st.sampled_from(["oacf", "apply"]))
+    if command == "oacf":
+        options = data.draw(_options({"--pacf": None, "--distribution": None}))
+        naive = oracle.pacf_naive if "--pacf" in options else oracle.oacf_naive
+        values = [naive(bits, tau) for tau in range(n)]
+        if "--distribution" in options:
+            expected = {"distribution": [list(item) for item in sorted(Counter(values).items())]}
+        else:
+            expected = {"values": values}
+        argv = ["oacf", _text_of(bits), *options]
+    else:
+        op = data.draw(st.sampled_from(sorted(_APPLY_OPS)))
+        params = [] if op == "negate" else [data.draw(st.integers(-2 * n, 3 * n))]
+        if op.endswith("shift"):
+            valid = 0 <= params[0] < n
+        else:
+            valid = not params or math.gcd(params[0], n if op == "decimate" else 2 * n) == 1
+        naive = {"negate": oracle.negate_naive, "shift": oracle.cyclic_shift_naive,
+                 "negashift": oracle.nega_cyclic_shift_naive, "decimate": oracle.decimate_naive,
+                 "negadecimate": oracle.nega_decimate_naive}[op]
+        expected = {"result": _text_of(naive(bits, *params))} if valid else None
+        argv = ["apply", op, _text_of(bits), *map(str, params)]
+    result = run([*argv, *(["--json"] if json_flag else [])])
+    if expected is None:
+        assert (result["exit"], result["stdout"]) == (2, ""), argv
+        return
+    assert result["exit"] == 0, argv
+    reply = json.loads(result["stdout"]) if json_flag else _read_text(command, result["stdout"])
+    assert {key: reply[key] for key in expected} == expected, argv

@@ -9,6 +9,12 @@ diff of the JSON file shows what changed:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
+With ``--check`` the same script replays every case against the recorded
+corpus instead, with no pytest needed, prints each case that differs and
+exits 1 if any does:
+
+    PYTHONPATH=src python tests/test_cli_corpus.py --check
+
 Help text and argparse's usage errors are formatted by the interpreter's
 argparse, so those cases are compared only under the Python version that
 recorded them, or when both versions are in ``ARGPARSE_ALIKE`` (``COLUMNS``
@@ -22,7 +28,10 @@ import os
 import sys
 from pathlib import Path
 
-import pytest
+try:
+    import pytest
+except ModuleNotFoundError:  # the standalone --check replay runs without pytest
+    pytest = None
 
 from oacf.cli import main
 
@@ -204,18 +213,44 @@ def record() -> None:
     CORPUS.write_text(json.dumps({"python": _python(), "cases": cases}, indent=1) + "\n")
 
 
+def _expected(case) -> dict:
+    return {key: case[key] for key in ("exit", "stdout", "stderr", "argparse")}
+
+
+def check() -> int:
+    """Replay every recorded case, argparse-ended ones included, whatever
+    the Python version; 0 when all match, else 1."""
+    os.environ["COLUMNS"] = COLUMNS
+    cases = _corpus["cases"]
+    differ = [" ".join(case["argv"]) or "(none)" for case in cases
+              if run(case["argv"], case["stdin"]) != _expected(case)]
+    for name in differ:
+        print("differs:", name)
+    covered = [(case["argv"], case["stdin"]) for case in cases] == INVOCATIONS
+    if not covered:
+        print("the corpus does not cover INVOCATIONS: record it again")
+    print(f"Python {sys.version.split()[0]}: {len(cases) - len(differ)}/{len(cases)} cases match")
+    return 0 if covered and not differ else 1
+
+
 # a missing corpus fails test_corpus_covers_the_invocations rather than the import
 _corpus = json.loads(CORPUS.read_text()) if CORPUS.exists() else {"python": "", "cases": []}
 
 
-@pytest.mark.parametrize("case", _corpus["cases"], ids=lambda case: " ".join(case["argv"])[:60] or "(none)")
+def pytest_generate_tests(metafunc):
+    # parametrized here rather than by a decorator, which would need pytest
+    # at import
+    if "case" in metafunc.fixturenames:
+        metafunc.parametrize("case", _corpus["cases"],
+                             ids=lambda case: " ".join(case["argv"])[:60] or "(none)")
+
+
 def test_cli_output_is_unchanged(case, monkeypatch):
     versions = {_corpus["python"], _python()}
     if case["argparse"] and len(versions) > 1 and not versions <= ARGPARSE_ALIKE:
         pytest.skip(f"argparse output recorded under Python {_corpus['python']}")
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    expected = {key: case[key] for key in ("exit", "stdout", "stderr", "argparse")}
-    assert run(case["argv"], case["stdin"]) == expected
+    assert run(case["argv"], case["stdin"]) == _expected(case)
 
 
 def test_corpus_covers_the_invocations():
@@ -223,4 +258,6 @@ def test_corpus_covers_the_invocations():
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    sys.exit(check() if sys.argv[1:] else record())
