@@ -149,9 +149,12 @@ def _cmd_construct(args):
 
 def _parse_primes(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        primes = [int(part) for part in text.split(",")]
+        if len(set(primes)) == len(primes):  # a repeated prime would be checked twice
+            return primes
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
 
 
 def _braced(values) -> str:
@@ -272,13 +275,15 @@ def _labeled_from_args(args) -> dict[str, BinarySequence]:
             entries.append(item)
     if not entries:
         raise ValueError("no sequences given (pass literals, label=literal, or '-')")
-    labeled = {}
+    labeled, generated = {}, {}  # generated: label -> its entry's number
     for k, item in enumerate(entries, start=1):
         label, _, literal = item.rpartition("=")
         if not label:
             label = f"seq{k}"
+            generated[label] = k
         if label in labeled:
-            raise ValueError(f"duplicate label {label!r}")
+            note = f" (generated for entry {generated[label]})" if label in generated else ""
+            raise ValueError(f"duplicate label {label!r}{note}")
         labeled[label] = _parse_sequence(label, literal)
     return labeled
 
@@ -432,9 +437,5 @@ def main(argv=None) -> int:
     return code
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -85,21 +85,6 @@ def _doubled_text(s: BinarySequence) -> str:
     return _bit_text(_extended(s, -1), 2 * s.period)
 
 
-def _smallest_shift(text: str, target: str, d: int, two_n: int) -> int | None:
-    """Smallest t = d*r mod 2N over the rotations r < 2N of ``text`` that
-    equal ``target``; r order is not t order, so every match is visited."""
-    haystack = text + text
-    end = 2 * two_n - 1
-    best = None
-    r = haystack.find(target, 0, end)
-    while r >= 0:
-        t = d * r % two_n
-        if best is None or t < best:
-            best = t
-        r = haystack.find(target, r + 1, end)
-    return best
-
-
 def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness | None:
     """Lexicographically smallest witness (d, t) mapping s to s_prime, or None.
 
@@ -109,8 +94,9 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     whatever t is.  Unequal multisets of |OACF| values give None at once,
     and a unit d is rejected at the first shift tau < N that breaks the
     invariant; those suffice, since d*N = N (mod 2N) for odd d.  For each d
-    left, every t comes from a substring search of v among the rotations
-    of u = s || (s + 1) decimated by d.
+    left, v(i) = u(d*i + t) for all i iff v(d^-1*j) = u(j + t) for all j,
+    with u = s || (s + 1) and v = s' || (s' + 1) on Z_{2N}; so v gathered
+    at d^-1 is found in u || u, and its first offset is the smallest t.
     """
     _check_periods(s, s_prime)
     n, two_n = s.period, 2 * s.period
@@ -118,7 +104,7 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     if _key(pu) != _key(pv):
         return None
     pu += [-value for value in pu]  # OACF_s on all of Z_{2N}
-    text, target = _doubled_text(s), _doubled_text(s_prime)
+    haystack, target = _doubled_text(s) * 2, _doubled_text(s_prime)
     for d in range(1, two_n, 2):
         if math.gcd(d, two_n) != 1:
             continue
@@ -126,8 +112,8 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
-            t = _smallest_shift(_gather(text, d, 0, two_n), target, d, two_n)
-            if t is not None:
+            t = haystack.find(_gather(target, pow(d, -1, two_n), 0, two_n))
+            if t >= 0:
                 return AffineWitness(d, t)
     return None
 
@@ -136,7 +122,7 @@ def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence)
     """True iff some witness with d = 1 maps s to s_prime, i.e. s_prime lies
     in the orbit of s under negation and nega-cyclic shifts alone."""
     _check_periods(s, s_prime)
-    return _smallest_shift(_doubled_text(s), _doubled_text(s_prime), 1, 2 * s.period) is not None
+    return _doubled_text(s_prime) in _doubled_text(s) * 2
 
 
 @_record()

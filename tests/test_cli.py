@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import math
@@ -208,8 +209,8 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["table4"]["rows"][0]["pass"] is True
 
-    @pytest.mark.parametrize("primes", ["1,,2", "13,", ""])
-    def test_empty_prime_item_is_a_usage_error(self, capsys, primes):
+    @pytest.mark.parametrize("primes", ["1,,2", "13,", "", "13,13", "13,17,13"])
+    def test_empty_or_repeated_prime_is_a_usage_error(self, capsys, primes):
         code, out, err = run_cli(capsys, "verify", "--primes", primes)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument --primes: bad prime list {primes!r}\n")
@@ -366,6 +367,8 @@ ERROR_CASES = [
     (["classify", "a=01", "b=" + "0" * (MAX_N + 1)], 2,
      f"period must be at most MAX_N = {MAX_N}, got {MAX_N + 1}", "b"),
     (["classify", "a=0110", "b=1001", "--alpha", "999999"], 2, "--alpha applies only with --parker P", None),
+    (["classify", "seq2=0110", "0101"], 2, "duplicate label 'seq2' (generated for entry 2)", None),
+    (["classify", "0101", "seq1=0110"], 2, "duplicate label 'seq1' (generated for entry 1)", None),
 ]
 
 
@@ -408,6 +411,14 @@ def test_python_m_runs_the_cli(capsys):
     assert (out.returncode, out.stdout, out.stderr) == run_cli(capsys, "oacf", "1110100011")
     assert out.stdout == "10 0 -2 -4 2 0 -2 4 2 0\n"
     assert run_module("equiv", goldens.PAIR10_A, goldens.PAIR10_B).returncode == 4
+
+
+def test_console_script_names_main():
+    # an installed `oacf` script runs sys.exit(main()) with what this names
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, _, name = project["project"]["scripts"]["oacf"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_undecodable_stdin_exits_2(capsys, monkeypatch):
