@@ -119,6 +119,8 @@ _APPLY_OPS = {
 
 
 def _cmd_apply(args):
+    if args.op not in _APPLY_OPS:  # checked first, so that it reads no stdin
+        raise ValueError(f"unknown operation {args.op!r} (choose from {', '.join(sorted(_APPLY_OPS))})")
     op, needs_param = _APPLY_OPS[args.op]
     if needs_param and args.param is None:
         raise ValueError(f"operation {args.op!r} requires an integer parameter")
@@ -342,7 +344,7 @@ _COMMANDS = {
         (("--distribution",), dict(action="store_true", help="print the value multiset")),
     )),
     "apply": (_cmd_apply, "apply a sequence operation", (
-        (("op",), dict(choices=tuple(sorted(_APPLY_OPS)))),
+        (("op",), dict(metavar="{" + ",".join(sorted(_APPLY_OPS)) + "}")),
         (("sequence",), dict(help="0/1 literal, or '-' for stdin")),
         (("param",), dict(type=int, nargs="?", default=None,
                           help="shift amount or decimation parameter")),
@@ -378,18 +380,11 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI's parser for ``argv``, built from ``_COMMANDS``, the one
-    declaration of the subcommands.  All six are listed, each with its help
-    line, but only ``command``, the first word of argv that names a
-    subcommand, gets a parser, with its -h and its arguments; the entry of
-    every other name maps to None.  The top-level parser has no option that
-    takes a value, so a word before that name is -h (which exits), an
-    unknown option (set aside as an extra) or a positional that names no
-    subcommand (an invalid-choice error): no argv reaches an entry other
-    than ``command``'s.  The parser is built on every call; one built once
-    per process waits on the benchmark's replay log (ROADMAP item 6)."""
-    command = next((word for word in argv if word in _COMMANDS), None)
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, built from ``_COMMANDS``: the top level with the
+    parser of ``command`` alone or, with no command, all six names as bare
+    entries for the top level's help.  It is built on every call; one built
+    once per process waits on the benchmark's replay log (ROADMAP item 6)."""
     # argparse makes a formatter for every add_argument, and each one would
     # read the terminal size; read it once, as HelpFormatter would
     width = shutil.get_terminal_size().columns - 2
@@ -399,16 +394,11 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="Odd-periodic autocorrelation toolkit for binary sequences.",
         formatter_class=formatter,
     )
-    # add_parser keeps each name and help line itself and asks parser_class
-    # only for the parser, by its prog "oacf NAME"
-    sub = parser.add_subparsers(
-        dest="command", required=True, prog="oacf",
-        parser_class=lambda prog, **kwargs: (
-            argparse.ArgumentParser(prog, **kwargs) if prog == f"oacf {command}" else None),
-    )
-    for name, (_, summary, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, formatter_class=formatter)
-        if name == command:
+    sub = parser.add_subparsers(prog="oacf", metavar="{" + ",".join(_COMMANDS) + "}")
+    for name in (command,) if command else _COMMANDS:
+        _, summary, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=bool(command))
+        if command:
             p.add_argument("--json", action="store_true", help="emit a JSON document")
             for flags, keywords in arguments:
                 p.add_argument(*flags, **keywords)
@@ -416,14 +406,23 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: print its report (JSON with --json, else text
-    lines) on stdout and return its exit code; an error prints one
-    ``error:`` line on stderr instead."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    """Run the subcommand that argv's first word names: print its report
+    (JSON with --json, else text lines) on stdout and return its exit code;
+    an error prints one ``error:`` line on stderr instead.  Any other first
+    word asks for help (-h, or --help cut to 3+ characters) or is an error."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        parser = build_parser()
+        if not argv:
+            parser.error("the following arguments are required: command")
+        if command == "-h" or (len(command) > 2 and "--help".startswith(command)):
+            parser.parse_args(["-h"])  # prints the help and exits
+        parser.error(f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args = build_parser(command).parse_args(argv)
     try:
-        code, payload, lines = _COMMANDS[args.command][0](args)
+        code, payload, lines = _COMMANDS[command][0](args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors
         print(f"error: {exc}", file=sys.stderr)
         # only a handler that has loaded constructions can raise its error

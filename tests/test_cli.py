@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oacf
 from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
-from oacf.cli import _APPLY_OPS, main
+from oacf.cli import _APPLY_OPS, _COMMANDS, main
 
 import goldens
 import oracle
@@ -326,9 +326,12 @@ class TestUsage:
         code, _, _ = run_cli(capsys)
         assert code == 2
 
-    def test_unknown_op(self, capsys):
-        code, _, _ = run_cli(capsys, "apply", "frobnicate", "01")
+    def test_unknown_op(self, capsys, monkeypatch):
+        stdin = io.StringIO("0110\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, _ = run_cli(capsys, "apply", "frobnicate", "-")
         assert code == 2
+        assert stdin.read() == "0110\n"
 
 
 # (argv, exit code, message, the argument or label that a sequence error names)
@@ -369,6 +372,8 @@ ERROR_CASES = [
     (["classify", "a=0110", "b=1001", "--alpha", "999999"], 2, "--alpha applies only with --parker P", None),
     (["classify", "seq2=0110", "0101"], 2, "duplicate label 'seq2' (generated for entry 2)", None),
     (["classify", "0101", "seq1=0110"], 2, "duplicate label 'seq1' (generated for entry 1)", None),
+    (["apply", "rotate", "01", "1"], 2,
+     "unknown operation 'rotate' (choose from decimate, negadecimate, negashift, negate, shift)", None),
 ]
 
 
@@ -510,9 +515,9 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
 
 
 def test_argument_count_per_call(capsys, monkeypatch):
-    # only the subparser that argv names, anywhere in it, is built, with its
-    # -h and its arguments; -h and an empty argv name none, so they build
-    # only the top-level parser and its -h
+    # only the subparser that argv's first word names is built, with its -h
+    # and its arguments; any other argv builds the help listing: the top
+    # level with its -h, and the six names as bare parsers
     calls, parsers = [], []
     real_add, real_init = argparse._ActionsContainer.add_argument, argparse.ArgumentParser.__init__
 
@@ -526,19 +531,56 @@ def test_argument_count_per_call(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructing)
-    for argv, code, count, helps in [
-        (("oacf", "0110"), 0, 6, 2), (("apply", "negate", "0110"), 0, 6, 2),
-        (("construct", "5", "13"), 0, 7, 2), (("verify", "--primes", "13"), 0, 7, 2),
-        (("classify", "0110"), 0, 6, 2), (("equiv", "0110", "1001"), 0, 6, 2),
-        (("-h",), 0, 1, 1), ((), 2, 1, 1),
-        (("--json", "equiv", "0110", "1001"), 2, 6, 2), (("-h", "verify"), 0, 7, 2),
+    named = (2, 2)  # a -h and a parser each for the top level and the subcommand
+    listing = (1, 7)  # the top level's -h; it and the six bare names are parsers
+    for argv, code, count, (helps, built) in [
+        (("oacf", "0110"), 0, 6, named), (("apply", "negate", "0110"), 0, 6, named),
+        (("construct", "5", "13"), 0, 7, named), (("verify", "--primes", "13"), 0, 7, named),
+        (("classify", "0110"), 0, 6, named), (("equiv", "0110", "1001"), 0, 6, named),
+        (("-h",), 0, 1, listing), ((), 2, 1, listing),
+        (("--json", "equiv", "0110", "1001"), 2, 1, listing), (("-h", "verify"), 0, 1, listing),
     ]:
         calls.clear()
         parsers.clear()
         assert run_cli(capsys, *argv)[0] == code
         counts = (len(calls), sum(args[:1] == ("-h",) for args in calls), len(parsers))
-        # one parser per -h: the top level's and the named subcommand's
-        assert counts == (count, helps, helps), argv
+        assert counts == (count, helps, built), argv
+
+
+_USAGE = "usage: oacf [-h] {oacf,apply,construct,verify,classify,equiv} ...\n"
+_CHOICES = "'oacf', 'apply', 'construct', 'verify', 'classify', 'equiv'"
+
+
+def _asks_for_help(word):
+    return word == "-h" or (len(word) >= 3 and "--help".startswith(word))
+
+
+def _assert_invalid_choice(word, rest):
+    # the first word alone decides: the words after it are never parsed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        result = run([word, *rest])
+    assert result == {
+        "exit": 2, "stdout": "", "argparse": True,
+        "stderr": f"{_USAGE}oacf: error: argument command: invalid choice: {word!r} (choose from {_CHOICES})\n",
+    }
+
+
+_RESTS = [[], ["equiv", "0110", "1001"], ["-h"], ["--help"], ["verify", "--json"]]
+
+
+@pytest.mark.parametrize("word", ["", "-", "--", "-1", "--json", "-x", "--help=x"])
+@pytest.mark.parametrize("rest", _RESTS)
+def test_a_first_word_that_names_no_subcommand_is_an_invalid_choice(word, rest):
+    _assert_invalid_choice(word, rest)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(word=st.one_of(st.text(), st.text().map("-".__add__), st.text().map("--".__add__))
+       .filter(lambda word: word not in _COMMANDS and not _asks_for_help(word)),
+       rest=st.sampled_from(_RESTS))
+def test_any_first_word_that_names_no_subcommand_is_an_invalid_choice(word, rest):
+    _assert_invalid_choice(word, rest)
 
 
 # The argv grammar, drawn: each subcommand with its options, valid and invalid

@@ -40,7 +40,8 @@ from goldens import PAIR10_A, PAIR10_B, SEQ31, SEQ31_NEGADEC3
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 COLUMNS = "80"
 # versions whose argparse formats every case of the corpus alike: a replay
-# of all its cases matched the recording under each of them
+# of all its cases matched the recording under 3.10.13, 3.11.7, 3.12.1,
+# 3.13.0 and 3.13.13
 ARGPARSE_ALIKE = {"3.10", "3.11", "3.12", "3.13"}
 
 SEQ31_NEGATED = "1000010101" "1101100011" "11100110100"
@@ -133,8 +134,8 @@ INVOCATIONS = [
     (["classify", "--parker"], None),
     (["equiv", "0110", "1001", "--without"], None),
     (["equiv", "0110", "1001", "--js"], None),
-    # per subcommand: a valid call, a missing positional, a bad type=int or
-    # choices value, an unknown option, an extra positional and an
+    # per subcommand: a valid call, a missing positional, a bad type=int
+    # value or apply op, an unknown option, an extra positional and an
     # abbreviated option
     (["oacf", "0110"], None),
     (["oacf", "0110", "--pacf", "--json"], None),
@@ -173,9 +174,10 @@ INVOCATIONS = [
     (["equiv", "0110"], None),
     (["equiv", "0110", "1001", "--bogus"], None),
     (["equiv", SEQ31, SEQ31_NEGADEC3, "--without-negadecimation"], None),
-    # words before the first subcommand name: an unknown option, a
-    # positional that names no subcommand, '--', an abbreviated --help, and
-    # a second subcommand name where the first one's arguments go
+    # first words that name no subcommand: an unknown option, a positional,
+    # '--', '' and '-', each an invalid choice; a prefix of --help, which
+    # prints the help; and a second subcommand name where the first one's
+    # arguments go
     (["-x", "classify", "0110"], None),
     (["bogus", "equiv", "0110", "1001"], None),
     (["--", "--", "equiv"], None),
@@ -183,6 +185,11 @@ INVOCATIONS = [
     (["verify", "-h", "classify"], None),
     (["equiv", "classify", "0110"], None),
     (["-1", "equiv", "0110", "1001"], None),
+    (["", "equiv", "0110", "1001"], None),
+    (["-", "equiv", "0110", "1001"], None),
+    (["--hel"], None),
+    (["--h", "verify"], None),
+    (["-x", "-h"], None),
 ]
 
 
