@@ -11,8 +11,6 @@ inapplicable, 4 verification failure or no witness found.
 """
 
 import argparse
-import functools
-import shutil
 import sys
 from importlib import import_module
 
@@ -381,27 +379,22 @@ _COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser, built from ``_COMMANDS``: the top level with the
-    parser of ``command`` alone or, with no command, all six names as bare
-    entries for the top level's help.  It is built on every call; one built
-    once per process waits on the benchmark's replay log (ROADMAP item 6)."""
-    # argparse makes a formatter for every add_argument, and each one would
-    # read the terminal size; read it once, as HelpFormatter would
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    """The CLI's parser, built from ``_COMMANDS``: with a command, that
+    subcommand's own parser, which reads the words after its name; with no
+    command, the top level with all six names as bare entries, for its help
+    and its first-word errors.  It is built on every call; one built once per
+    process waits on the benchmark's replay log (ROADMAP item 6)."""
+    if command:
+        parser = argparse.ArgumentParser(prog=f"oacf {command}")
+        parser.add_argument("--json", action="store_true", help="emit a JSON document")
+        for flags, keywords in _COMMANDS[command][2]:
+            parser.add_argument(*flags, **keywords)
+        return parser
     parser = argparse.ArgumentParser(
-        prog="oacf",
-        description="Odd-periodic autocorrelation toolkit for binary sequences.",
-        formatter_class=formatter,
-    )
+        prog="oacf", description="Odd-periodic autocorrelation toolkit for binary sequences.")
     sub = parser.add_subparsers(prog="oacf", metavar="{" + ",".join(_COMMANDS) + "}")
-    for name in (command,) if command else _COMMANDS:
-        _, summary, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=bool(command))
-        if command:
-            p.add_argument("--json", action="store_true", help="emit a JSON document")
-            for flags, keywords in arguments:
-                p.add_argument(*flags, **keywords)
+    for name, (_, summary, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
@@ -420,7 +413,7 @@ def main(argv=None) -> int:
             parser.parse_args(["-h"])  # prints the help and exits
         parser.error(f"argument command: invalid choice: {command!r} "
                      f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(command).parse_args(argv[1:])
     try:
         code, payload, lines = _COMMANDS[command][0](args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors

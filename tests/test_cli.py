@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -467,22 +466,6 @@ def test_alpha_help_names_its_condition(capsys, monkeypatch, command, alpha_help
     assert alpha_help in " ".join(out.split())
 
 
-def test_terminal_size_is_read_once_per_call(capsys, monkeypatch):
-    # argparse would read it once per formatter: 34 times for one request
-    reads = []
-    real = shutil.get_terminal_size
-
-    def counting(*args, **kwargs):
-        reads.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(shutil, "get_terminal_size", counting)
-    for argv, code in [(("equiv", "0110", "1001"), 0), (("verify", "--help"), 0), (("apply",), 2)]:
-        reads.clear()
-        assert run_cli(capsys, *argv)[0] == code
-        assert len(reads) == 1, argv
-
-
 def test_help_follows_the_width_of_each_call(capsys, monkeypatch):
     outputs = []
     for columns in ("60", "120", "60"):
@@ -515,9 +498,9 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
 
 
 def test_argument_count_per_call(capsys, monkeypatch):
-    # only the subparser that argv's first word names is built, with its -h
-    # and its arguments; any other argv builds the help listing: the top
-    # level with its -h, and the six names as bare parsers
+    # only the parser of the subcommand that argv's first word names is
+    # built, with its -h and its arguments; any other argv builds the help
+    # listing: the top level with its -h, and the six names as bare parsers
     calls, parsers = [], []
     real_add, real_init = argparse._ActionsContainer.add_argument, argparse.ArgumentParser.__init__
 
@@ -531,12 +514,12 @@ def test_argument_count_per_call(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructing)
-    named = (2, 2)  # a -h and a parser each for the top level and the subcommand
+    named = (1, 1)  # the subcommand's -h and its parser, and no top level
     listing = (1, 7)  # the top level's -h; it and the six bare names are parsers
     for argv, code, count, (helps, built) in [
-        (("oacf", "0110"), 0, 6, named), (("apply", "negate", "0110"), 0, 6, named),
-        (("construct", "5", "13"), 0, 7, named), (("verify", "--primes", "13"), 0, 7, named),
-        (("classify", "0110"), 0, 6, named), (("equiv", "0110", "1001"), 0, 6, named),
+        (("oacf", "0110"), 0, 5, named), (("apply", "negate", "0110"), 0, 5, named),
+        (("construct", "5", "13"), 0, 6, named), (("verify", "--primes", "13"), 0, 6, named),
+        (("classify", "0110"), 0, 5, named), (("equiv", "0110", "1001"), 0, 5, named),
         (("-h",), 0, 1, listing), ((), 2, 1, listing),
         (("--json", "equiv", "0110", "1001"), 2, 1, listing), (("-h", "verify"), 0, 1, listing),
     ]:
@@ -641,6 +624,10 @@ def test_any_argv_exits_with_a_documented_code(command, data, json_flag, extra, 
     result = run(argv, stdin)
     if result["argparse"]:
         assert result["exit"] in (0, 2), argv
+        if result["exit"] == 2:  # the subcommand's own parser rejects the words after it
+            lines = result["stderr"].splitlines()
+            assert result["stdout"] == "" and lines[0].startswith(f"usage: oacf {command} "), argv
+            assert lines[-1].startswith(f"oacf {command}: error: "), argv
     elif result["exit"] in (2, 3):
         assert result["stdout"] == "" and re.fullmatch(r"error: [^\n]*\n", result["stderr"]), argv
     else:

@@ -15,10 +15,9 @@ exits 1 if any does:
 
     PYTHONPATH=src python tests/test_cli_corpus.py --check
 
-Help text and argparse's usage errors are formatted by the interpreter's
-argparse, so those cases are compared only under the Python version that
-recorded them, or when both versions are in ``ARGPARSE_ALIKE`` (``COLUMNS``
-is pinned to 80 for both runs).
+Every case, help text and argparse's usage errors included, is compared
+under whichever Python runs the replay, by pytest and by ``--check``
+alike; ``COLUMNS`` is pinned to 80 for the recording and for each replay.
 """
 
 import contextlib
@@ -28,21 +27,12 @@ import os
 import sys
 from pathlib import Path
 
-try:
-    import pytest
-except ModuleNotFoundError:  # the standalone --check replay runs without pytest
-    pytest = None
-
 from oacf.cli import main
 
 from goldens import PAIR10_A, PAIR10_B, SEQ31, SEQ31_NEGADEC3
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 COLUMNS = "80"
-# versions whose argparse formats every case of the corpus alike: a replay
-# of all its cases matched the recording under 3.10.13, 3.11.7, 3.12.1,
-# 3.13.0 and 3.13.13
-ARGPARSE_ALIKE = {"3.10", "3.11", "3.12", "3.13"}
 
 SEQ31_NEGATED = "1000010101" "1101100011" "11100110100"
 
@@ -210,14 +200,10 @@ def run(argv, stdin=None) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "argparse": by_argparse}
 
 
-def _python() -> str:
-    return f"{sys.version_info.major}.{sys.version_info.minor}"
-
-
 def record() -> None:
     os.environ["COLUMNS"] = COLUMNS
     cases = [dict(argv=argv, stdin=stdin, **run(argv, stdin)) for argv, stdin in INVOCATIONS]
-    CORPUS.write_text(json.dumps({"python": _python(), "cases": cases}, indent=1) + "\n")
+    CORPUS.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
 
 
 def _expected(case) -> dict:
@@ -225,8 +211,7 @@ def _expected(case) -> dict:
 
 
 def check() -> int:
-    """Replay every recorded case, argparse-ended ones included, whatever
-    the Python version; 0 when all match, else 1."""
+    """Replay every recorded case; 0 when all match, else 1."""
     os.environ["COLUMNS"] = COLUMNS
     cases = _corpus["cases"]
     differ = [" ".join(case["argv"]) or "(none)" for case in cases
@@ -241,7 +226,7 @@ def check() -> int:
 
 
 # a missing corpus fails test_corpus_covers_the_invocations rather than the import
-_corpus = json.loads(CORPUS.read_text()) if CORPUS.exists() else {"python": "", "cases": []}
+_corpus = json.loads(CORPUS.read_text()) if CORPUS.exists() else {"cases": []}
 
 
 def pytest_generate_tests(metafunc):
@@ -253,9 +238,6 @@ def pytest_generate_tests(metafunc):
 
 
 def test_cli_output_is_unchanged(case, monkeypatch):
-    versions = {_corpus["python"], _python()}
-    if case["argparse"] and len(versions) > 1 and not versions <= ARGPARSE_ALIKE:
-        pytest.skip(f"argparse output recorded under Python {_corpus['python']}")
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert run(case["argv"], case["stdin"]) == _expected(case)
 
