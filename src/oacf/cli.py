@@ -11,6 +11,7 @@ inapplicable, 4 verification failure or no witness found.
 """
 
 import argparse
+import itertools
 import sys
 from importlib import import_module
 
@@ -198,6 +199,8 @@ def _cmd_verify(args):
     run_tables = args.tables or not (args.tables or args.table4)
     run_table4 = args.table4 or not (args.tables or args.table4)
     primes = args.primes if args.primes is not None else list(DEFAULT_PRIMES)
+    if args.alpha is not None and not run_tables:  # pairs use each prime's smallest root
+        raise ValueError("--alpha applies only to the value-set checks")
     if args.alpha is not None and len(primes) != 1:
         raise ValueError("--alpha requires exactly one prime")
 
@@ -413,7 +416,14 @@ def main(argv=None) -> int:
             parser.parse_args(["-h"])  # prints the help and exits
         parser.error(f"argument command: invalid choice: {command!r} "
                      f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    args = build_parser(command).parse_args(argv[1:])
+    parser = build_parser(command)
+    # argparse rejects -hARG (-h given ARG) before 3.13 and prints the help
+    # from 3.13 on; the program rejects it under every release
+    for word in itertools.takewhile("--".__ne__, argv[1:]):
+        arg = word[3:] if word.startswith("-h=") else word[2:].lstrip("h")
+        if word.startswith("-h") and arg:
+            parser.error(f"argument -h/--help: ignored explicit argument {arg!r}")
+    args = parser.parse_args(argv[1:])
     try:
         code, payload, lines = _COMMANDS[command][0](args)
     except ValueError as exc:  # parse, gcd, usage and precondition errors

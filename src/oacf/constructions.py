@@ -181,7 +181,7 @@ def construct(index: int, p: int, alpha: int | None = None) -> tuple[BinarySeque
 class VerificationReport:
     """Distinct-OACF-value check of one construction at one prime.
 
-    ``branch`` records which sign of y matched ("+y", "-y", "both", or None);
+    ``branch`` records which sign of y matched ("+y", "-y", or None);
     ``collapsed`` flags that distinct symbolic terms coincided numerically.
     """
 
@@ -237,9 +237,7 @@ def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationRe
     plus = _instantiate(spec.value_terms, system.x, system.y)
     minus = _instantiate(spec.value_terms, system.x, -system.y)
     full_size = 2 * len(spec.value_terms) - 1  # 0 contributes one value
-    if computed == plus and computed == minus:
-        matched, branch, expected = True, "both", plus
-    elif computed == plus:
+    if computed == plus:
         matched, branch, expected = True, "+y", plus
     elif computed == minus:
         matched, branch, expected = True, "-y", minus

@@ -31,34 +31,22 @@ def _check_p_limit(p: int) -> None:
         raise ValueError(f"p must be at most MAX_P = {MAX_P}, got {p}")
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; adequate for desk-scale p."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    factors = []
+def _prime_factors(n: int):
+    """The distinct prime factors of n > 1, smallest first, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            factors.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        factors.append(n)
-    return factors
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial division; adequate for desk-scale p."""
+    return n > 1 and next(_prime_factors(n)) == n
 
 
 def quartic_decomposition(p: int) -> tuple[int, int, int]:
@@ -85,11 +73,7 @@ def smallest_primitive_root(p: int) -> int:
     """Smallest g in [2, p) of multiplicative order p - 1 mod p."""
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 3, got {p}")
-    cofactors = [(p - 1) // q for q in _prime_factors(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, c, p) != 1 for c in cofactors):
-            return g
-    raise ValueError(f"no primitive root found for {p}")  # unreachable for prime p
+    return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
 def is_primitive_root(g: int, p: int) -> bool:

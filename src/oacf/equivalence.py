@@ -205,8 +205,6 @@ class Table4RowReport:
 
     @property
     def direction(self) -> str | None:
-        if self.printed_match and self.inverse_match:
-            return "both"
         if self.printed_match:
             return "printed"
         if self.inverse_match:

@@ -153,7 +153,7 @@ def test_criterion_5_value_set_tables():
             if not report.matched:
                 failures.append(report)
     assert len(branches) == 56
-    assert all(branch in ("+y", "-y", "both") for _, _, branch in branches)
+    assert all(branch in ("+y", "-y") for _, _, branch in branches)
     assert not failures, [vars(r) for r in failures]
     _report(5, "16 value-set rows over 6 primes", True,
             "branch recorded for each of 56 rows")

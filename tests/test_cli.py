@@ -373,6 +373,8 @@ ERROR_CASES = [
     (["classify", "0101", "seq1=0110"], 2, "duplicate label 'seq1' (generated for entry 1)", None),
     (["apply", "rotate", "01", "1"], 2,
      "unknown operation 'rotate' (choose from decimate, negadecimate, negashift, negate, shift)", None),
+    (["verify", "--table4", "--primes", "13", "--alpha", "4"], 2,
+     "--alpha applies only to the value-set checks", None),
 ]
 
 

@@ -180,6 +180,12 @@ INVOCATIONS = [
     (["--hel"], None),
     (["--h", "verify"], None),
     (["-x", "-h"], None),
+    # --alpha with the pairing check alone, which uses each prime's
+    # smallest primitive root; and -h given an explicit argument, which
+    # argparse answers by release, so the program rejects it first
+    (["verify", "--table4", "--primes", "13", "--alpha", "4"], None),
+    (["oacf", "0110", "-hx"], None),
+    (["verify", "-ht"], None),
 ]
 
 

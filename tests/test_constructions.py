@@ -4,6 +4,7 @@ import pytest
 
 from oacf import (
     CONSTRUCTIONS,
+    MAX_P,
     ConstructionInapplicableError,
     build_system,
     construct,
@@ -20,10 +21,12 @@ from oacf import (
     oacf_profile,
     pacf,
     parker_double,
+    quartic_decomposition,
     try_parker_split,
     verify_table,
 )
 from oacf.cli import main
+from oacf.constructions import _instantiate
 
 import oracle
 from oracle import build_support, cset, expand_gamma
@@ -213,6 +216,17 @@ class TestVerifyTable:
         for p in (5, 13, 29, 37):
             for index in range(5, 17):
                 assert verify_table(index, p).matched, (index, p)
+
+    def test_sign_of_y_changes_every_value_set_up_to_max_p(self):
+        # so at most one branch matches, and "+y" or "-y" names it
+        primes = [p for p in range(5, MAX_P + 1) if is_prime(p) and p % 4 == 1]
+        assert len(primes) == 609
+        for p in primes:
+            x, y, _ = quartic_decomposition(p)
+            for spec in CONSTRUCTIONS:
+                if is_applicable(spec.index, p):
+                    terms = spec.value_terms
+                    assert _instantiate(terms, x, y) != _instantiate(terms, x, -y), (spec.index, p)
 
     def test_report_serialization(self, capsys):
         main(["verify", "--tables", "--primes", "17", "--json"])

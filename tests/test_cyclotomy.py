@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oacf import (
@@ -24,6 +26,14 @@ class TestPrimality:
     def test_larger(self):
         assert is_prime(7919)
         assert not is_prime(7917)
+
+    def test_agrees_with_a_sieve_up_to_max_p(self):
+        sieve = [False, False] + [True] * (MAX_P - 1)
+        for n in range(2, math.isqrt(MAX_P) + 1):
+            if sieve[n]:
+                sieve[n * n::n] = [False] * len(sieve[n * n::n])
+        assert [n for n in range(-3, MAX_P + 1) if is_prime(n)] == [
+            n for n in range(MAX_P + 1) if sieve[n]]
 
 
 class TestQuarticDecomposition:
@@ -57,12 +67,17 @@ class TestPrimitiveRoot:
         assert smallest_primitive_root(p) == root
 
     def test_brute_force_cross_check(self):
-        for p in (5, 13, 17, 29):
-            g = smallest_primitive_root(p)
-            powers = {pow(g, e, p) for e in range(p - 1)}
-            assert powers == set(range(1, p))
-            for smaller in range(2, g):
-                assert {pow(smaller, e, p) for e in range(p - 1)} != set(range(1, p))
+        # the smallest g of multiplicative order p - 1, counted step by step
+        def order(g, p):
+            k, power = 1, g
+            while power != 1:
+                k, power = k + 1, power * g % p
+            return k
+
+        for p in range(3, 2000):
+            if is_prime(p):
+                assert smallest_primitive_root(p) == next(
+                    g for g in range(2, p) if order(g, p) == p - 1), p
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from oacf import (
     BinarySequence,
     ConstructionInapplicableError,
     NotCoprimeError,
+    TABLE4_RELATIONS,
     apply_witness,
     build_system,
     classify,
@@ -29,6 +30,7 @@ from oacf import (
 )
 import oacf.equivalence
 from oacf.cli import main
+from oacf.constructions import _CODE_TABLES
 from oacf.equivalence import _key
 from oacf.sequences import _correlations
 
@@ -441,7 +443,34 @@ class TestClassify:
             assert len(dists) == 1
 
 
+def _cell_relation_holds(relation, sign):
+    """A Table-4 relation on the 40 cells (n, k) of Z_8 x {D_0..D_3, 0}:
+    byte 5n + k of each code table, k = 4 for the zero cell.  Decimation by
+    eta(1, alpha^e) moves cell (n, k) to (n, k + e), and negation, the shift
+    by 4p = eta(4, 0), moves it to (n + 4, k); so the relation holds at a
+    prime of its f parity exactly when the target's table is the source's
+    read at (n + 4*neg, k + sign*e), whatever the prime.  Sign +1 reads the
+    printed parameter and -1 its inverse."""
+    _, i_src, i_tgt, e, negate_first = relation
+    src, tgt = _CODE_TABLES[i_src - 1], _CODE_TABLES[i_tgt - 1]
+    return all(
+        tgt[5 * n + k] == src[5 * ((n + 4 * negate_first) % 8) + (k if k == 4 else (k + sign * e) % 4)]
+        for n in range(8) for k in range(5)
+    )
+
+
 class TestTable4:
+    def test_relations_hold_on_the_cells_in_one_direction(self):
+        signs = [[sign for sign in (1, -1) if _cell_relation_holds(relation, sign)]
+                 for relation in TABLE4_RELATIONS]
+        assert signs == [[-1]] * 4 + [[1]] + [[-1]] * 3
+
+    @pytest.mark.parametrize("p_even, p_odd", [(17, 13), (41, 29), (137, 197)])
+    def test_cells_predict_each_match(self, p_even, p_odd):
+        for relation, row in zip(TABLE4_RELATIONS, verify_table4(p_even, p_odd).rows):
+            assert row.printed_match == _cell_relation_holds(relation, 1), row.row
+            assert row.inverse_match == _cell_relation_holds(relation, -1), row.row
+
     def test_relations_confirmed_at_17_13(self):
         report = verify_table4(17, 13)
         assert report.all_passed
