@@ -358,8 +358,8 @@ _COMMANDS = {
                              help="also print the doubled characteristic sequence")),
     )),
     "verify": (_cmd_verify, "check constructions against their value sets and pairings", (
-        (("--alpha",), dict(type=int, default=None,
-                            help=_ALPHA_HELP + "; needs exactly one prime in --primes")),
+        (("--alpha",), dict(type=int, default=None, help=_ALPHA_HELP
+                            + "; value-set checks only; needs exactly one prime in --primes")),
         (("--tables",), dict(action="store_true", help="only the value-set checks")),
         (("--table4",), dict(action="store_true", help="only the pairing relations")),
         (("--primes",), dict(type=_parse_primes, default=None,

@@ -3,12 +3,13 @@
 Each family is described by a subset G' of {0,1,2,3} and a quadruple gamma
 of C-set indices.  A support set inside Z_8 x Z_p is expanded from (G',
 gamma) by complement rules, mapped through the CRT isomorphism to Z_{8p},
-and read off as a characteristic sequence u of period 8p.  By construction
-u(i) = u(i + 4p) + 1, so u splits as s || (s + 1) with s of period N = 4p.
+and read off as a characteristic sequence u of period 8p.
 
-``construct_in`` reads that support set through one class code per residue
-and one 256-byte table per construction; ``build_support`` in
-``tests/oracle.py`` states it literally.
+``construct_in`` reads that support set through one code per residue z,
+5*(z mod 8) + k with k the class of z mod p (4 for 0), and one 256-byte
+table per construction; ``build_support`` in ``tests/oracle.py`` states it
+literally.  Every table gives the cells (n, k) and (n + 4, k) of z and z + 4p
+opposite bits, so u = s || (s + 1) at every prime, s the first 4p codes.
 
 ``verify_table`` checks the distinct OACF values of s, read from one shift
 per cyclotomic orbit, against the family's symbolic value set instantiated
@@ -17,7 +18,7 @@ with the quartic decomposition (x, y), accepting a uniform sign flip of y
 """
 
 from .cyclotomy import CSET_PAIRS, CyclotomicSystem, build_system, complement_cset_index
-from .sequences import BinarySequence, _correlations_at, _from_text, _record, nega_decimate, try_parker_split
+from .sequences import BinarySequence, _correlations_at, _from_text, _record, nega_decimate, parker_double
 
 __all__ = [
     "ConstructionSpec",
@@ -161,14 +162,11 @@ def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, 
     for k, members in enumerate(system.classes):
         for a in members:
             cls[a] = k
-    # byte z is 5*(z mod 8) + cls[z mod p] <= 39, so the two addends never carry
-    codes = int.from_bytes(bytes(range(0, 40, 5)) * p, "little") + int.from_bytes(cls * 8, "little")
-    text = codes.to_bytes(8 * p, "little").translate(_CODE_TABLES[index - 1])
-    u = _from_text(text)
-    s = try_parker_split(u)
-    if s is None:
-        raise RuntimeError("support violates the half-period complement rule (internal error)")
-    return s, u
+    # byte z < 4p is 5*(z mod 8) + cls[z mod p] <= 39, so the two addends never carry
+    residues = (bytes(range(0, 40, 5)) * p)[: 4 * p]
+    codes = int.from_bytes(residues, "little") + int.from_bytes(cls * 4, "little")
+    s = _from_text(codes.to_bytes(4 * p, "little").translate(_CODE_TABLES[index - 1]))
+    return s, parker_double(s)
 
 
 def construct(index: int, p: int, alpha: int | None = None) -> tuple[BinarySequence, BinarySequence]:

@@ -6,6 +6,7 @@ D_k = { alpha^(4s+k) : 0 <= s < f }, plus the six two-class unions C1..C6.
 """
 
 import math
+from itertools import count
 
 from .sequences import _record
 
@@ -56,17 +57,10 @@ def quartic_decomposition(p: int) -> tuple[int, int, int]:
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"p must be a prime with p = 1 (mod 4), got {p}")
-    y = 0
-    while 4 * y * y < p:
-        r = p - 4 * y * y
-        x = math.isqrt(r)
-        if x * x == r:
-            if x % 4 != 1:
-                x = -x
-            return x, y, (p - 1) // 4
-        y += 1
-    # unreachable: every prime = 1 (mod 4) is a sum of a square and 4*square
-    raise ValueError(f"no decomposition p = x^2 + 4y^2 found for {p}")
+    # Fermat's two-square theorem: p = x^2 + (2y)^2 for some y, so the search ends
+    y = next(y for y in count() if math.isqrt(p - 4 * y * y) ** 2 == p - 4 * y * y)
+    x = math.isqrt(p - 4 * y * y)
+    return (x if x % 4 == 1 else -x), y, (p - 1) // 4
 
 
 def smallest_primitive_root(p: int) -> int:

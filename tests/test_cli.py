@@ -458,7 +458,7 @@ _ALPHA_HELP = "--alpha ALPHA override the generator of GF(p)* (default: smallest
 
 @pytest.mark.parametrize("command, alpha_help", [
     ("construct", f"{_ALPHA_HELP} --emit-u"),
-    ("verify", f"{_ALPHA_HELP}; needs exactly one prime in --primes --tables"),
+    ("verify", f"{_ALPHA_HELP}; value-set checks only; needs exactly one prime in --primes --tables"),
     ("classify", f"{_ALPHA_HELP}; needs --parker P --parker P"),
 ])
 def test_alpha_help_names_its_condition(capsys, monkeypatch, command, alpha_help):

@@ -26,7 +26,7 @@ from oacf import (
     verify_table,
 )
 from oacf.cli import main
-from oacf.constructions import _instantiate
+from oacf.constructions import _CODE_TABLES, _instantiate
 
 import oracle
 from oracle import build_support, cset, expand_gamma
@@ -128,6 +128,15 @@ class TestTableDrivenWord:
                 support = build_support(construction_spec(index), system)
                 u = oracle.characteristic_reference(support)
                 assert construct_in(system, index) == (try_parker_split(u), u), (p, alpha, index)
+
+    def test_half_period_rule_on_the_cells(self):
+        # z + 4p lies in cell (n + 4, k) when z lies in (n, k), so u splits
+        # as s || (s + 1) at every prime exactly when each table gives the
+        # two cells opposite bits
+        for index, table in enumerate(_CODE_TABLES, 1):
+            for n in range(8):
+                for k in range(5):
+                    assert table[5 * ((n + 4) % 8) + k] != table[5 * n + k], (index, n, k)
 
 
 class TestConstruct:

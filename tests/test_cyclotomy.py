@@ -45,7 +45,7 @@ class TestQuarticDecomposition:
         assert quartic_decomposition(p) == expected
 
     def test_normalization_and_exactness(self):
-        for p in primes_1_mod_4(200):
+        for p in primes_1_mod_4(MAX_P + 1):
             x, y, f = quartic_decomposition(p)
             assert x * x + 4 * y * y == p
             assert x % 4 == 1

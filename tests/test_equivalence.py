@@ -30,7 +30,7 @@ from oacf import (
 )
 import oacf.equivalence
 from oacf.cli import main
-from oacf.constructions import _CODE_TABLES
+from oacf.constructions import _CODE_TABLES, crt_iso
 from oacf.equivalence import _key
 from oacf.sequences import _correlations
 
@@ -470,6 +470,28 @@ class TestTable4:
         for relation, row in zip(TABLE4_RELATIONS, verify_table4(p_even, p_odd).rows):
             assert row.printed_match == _cell_relation_holds(relation, 1), row.row
             assert row.inverse_match == _cell_relation_holds(relation, -1), row.row
+
+    @pytest.mark.parametrize("p", [13, 17, 29])
+    def test_each_cell_map_is_its_witness(self, p):
+        # the witness (eta(w, alpha^j), eta(m, 0)) reads cell
+        # (w*n + m mod 8, k + j mod 4) of the table where s reads (n, k);
+        # the zero cell k = 4 stays fixed
+        system = build_system(p)
+        eta, _ = crt_iso(p)
+        cls = {a: k for k, members in enumerate(system.classes) for a in members}
+        cells = [(i % 8, cls.get(i % p, 4)) for i in range(4 * p)]
+        for index in (i for i in range(1, 17) if is_applicable(i, p)):
+            s, _ = construct_in(system, index)
+            table = _CODE_TABLES[index - 1]
+            for w in (1, 3, 5, 7):
+                for m in range(8):
+                    for j in range(4):
+                        witness = AffineWitness(eta(w, pow(system.alpha, j, p)), eta(m, 0))
+                        expected = "".join(
+                            chr(table[5 * ((w * n + m) % 8) + (k if k == 4 else (k + j) % 4)])
+                            for n, k in cells
+                        )
+                        assert apply_witness(witness, s) == seq(expected), (index, w, m, j)
 
     def test_relations_confirmed_at_17_13(self):
         report = verify_table4(17, 13)
