@@ -17,14 +17,12 @@ from .constructions import construct_in, crt_iso
 from .cyclotomy import build_system
 from .sequences import (
     BinarySequence,
-    _bit_text,
     _correlations,
-    _extended,
-    _gather,
     _gathered,
     _record,
     negate,
     nega_decimate,
+    parker_double,
 )
 
 __all__ = [
@@ -80,11 +78,6 @@ def _key(profile: list[int]) -> tuple[int, ...]:
     return tuple(sorted(map(abs, profile)))
 
 
-def _doubled_text(s: BinarySequence) -> str:
-    # bit text of u = s || (s + 1)
-    return _bit_text(_extended(s, -1), 2 * s.period)
-
-
 def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness | None:
     """Lexicographically smallest witness (d, t) mapping s to s_prime, or None.
 
@@ -94,9 +87,10 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     whatever t is.  Unequal multisets of |OACF| values give None at once,
     and a unit d is rejected at the first shift tau < N that breaks the
     invariant; those suffice, since d*N = N (mod 2N) for odd d.  For each d
-    left, v(i) = u(d*i + t) for all i iff v(d^-1*j) = u(j + t) for all j,
-    with u = s || (s + 1) and v = s' || (s' + 1) on Z_{2N}; so v gathered
-    at d^-1 is found in u || u, and its first offset is the smallest t.
+    left, (d, t) maps s to s' iff nega-decimating s' by d^-1 mod 2N gives
+    the window at t of u || u, u = parker_double(s): the nega-cyclic shift
+    of s by t mod N, negated when t >= N.  Both satisfy x(j + N) = x(j) + 1,
+    so N characters decide the match; its first offset is the smallest t.
     """
     _check_periods(s, s_prime)
     n, two_n = s.period, 2 * s.period
@@ -104,7 +98,7 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
     if _key(pu) != _key(pv):
         return None
     pu += [-value for value in pu]  # OACF_s on all of Z_{2N}
-    haystack, target = _doubled_text(s) * 2, _doubled_text(s_prime)
+    haystack = str(parker_double(s)) * 2
     for d in range(1, two_n, 2):
         if math.gcd(d, two_n) != 1:
             continue
@@ -112,7 +106,7 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
-            t = haystack.find(_gather(target, pow(d, -1, two_n), 0, two_n))
+            t = haystack.find(str(nega_decimate(s_prime, pow(d, -1, two_n))))
             if t >= 0:
                 return AffineWitness(d, t)
     return None
@@ -120,9 +114,10 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
 
 def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence) -> bool:
     """True iff some witness with d = 1 maps s to s_prime, i.e. s_prime lies
-    in the orbit of s under negation and nega-cyclic shifts alone."""
+    in the orbit of s under negation and nega-cyclic shifts alone: the
+    d = 1 case of ``oacf_equivalent``'s window test on parker_double(s)."""
     _check_periods(s, s_prime)
-    return _doubled_text(s_prime) in _doubled_text(s) * 2
+    return str(s_prime) in str(parker_double(s)) * 2
 
 
 @_record()
@@ -236,20 +231,15 @@ def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
     prime of the other f parity raises ``construct_in``'s
     ConstructionInapplicableError.
     """
-    sys_even = build_system(p_even_f)
-    sys_odd = build_system(p_odd_f)
-    even, odd = ((system, crt_iso(system.p)[0]) for system in (sys_even, sys_odd))
-    # every pair is built first, so that a prime of the wrong f parity raises
-    # before any check or search; each index appears in one relation only, so
-    # each construction is built once
-    pairs = []
-    for relation in TABLE4_RELATIONS:
-        system, eta = even if relation[1] <= 4 else odd
-        pairs.append((relation, system, eta, *(construct_in(system, i)[0] for i in relation[1:3])))
+    systems = {False: build_system(p_even_f), True: build_system(p_odd_f)}
+    # all sixteen are built first, so that a prime of the wrong f parity
+    # raises before any check or search
+    built = {i: construct_in(systems[i > 4], i)[0] for i in range(1, 17)}
     rows = []
-    for (row, i_src, i_tgt, exponent, negate_first), system, eta, source, target in pairs:
+    for row, i_src, i_tgt, exponent, negate_first in TABLE4_RELATIONS:
+        system, source, target = systems[i_src > 4], built[i_src], built[i_tgt]
         two_n = 2 * source.period
-        d_printed = eta(1, pow(system.alpha, exponent, system.p))
+        d_printed = crt_iso(system.p)[0](1, pow(system.alpha, exponent, system.p))
         d_inverse = pow(d_printed, -1, two_n)
         base = negate(source) if negate_first else source
         rows.append(

@@ -245,17 +245,12 @@ def _extended(a: BinarySequence, sign: int) -> int:
     return a.word | (tail << a.period)
 
 
-def _gather(text: str, d: int, t: int, n: int) -> str:
-    """Characters (d*i + t) mod len(text) of ``text`` for i < n, picked at C
-    speed (for n = 1, itemgetter returns the one character itself, which
-    join takes as well)."""
-    return "".join(itemgetter(*map(mod, count(t, d), repeat(len(text), n)))(text))
-
-
 def _gathered(a: BinarySequence, d: int, t: int, sign: int, requirement: str) -> BinarySequence:
-    """b(i) = e(d*i + t) for i < N over the continued word e of ``a``; d
-    must be a unit mod N (sign = 1) or mod 2N (sign = -1), and
-    ``requirement`` names the operation in the error."""
+    """b(i) = e(d*i + t) for i < N over the continued word e of ``a``,
+    picked from its bit text at C speed (for N = 1, itemgetter returns the
+    one character itself, which join takes as well); d must be a unit mod
+    N (sign = 1) or mod 2N (sign = -1), and ``requirement`` names the
+    operation in the error."""
     n = a.period
     modulus, name = (n, "N") if sign == 1 else (2 * n, "2N")
     if math.gcd(d, modulus) != 1:
@@ -263,7 +258,8 @@ def _gathered(a: BinarySequence, d: int, t: int, sign: int, requirement: str) ->
             f"gcd(d={d}, {name}={modulus}) = {math.gcd(d, modulus)}; "
             f"{requirement} gcd(d, {name}) = 1"
         )
-    return _from_text(_gather(_bit_text(_extended(a, sign), 2 * n), d, t, n))
+    text = _bit_text(_extended(a, sign), 2 * n)
+    return _from_text("".join(itemgetter(*map(mod, count(t, d), repeat(2 * n, n)))(text)))
 
 
 def _check_shift(tau: int, n: int) -> None:

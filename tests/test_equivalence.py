@@ -96,6 +96,18 @@ class TestApplyWitness:
             w = AffineWitness(random_unit(rng, 2 * n), rng.randrange(2 * n))
             assert oacf_distribution(apply_witness(w, s)) == oacf_distribution(s)
 
+    def test_chain_of_paper_operations(self):
+        # with tau = d^-1 * t mod 2N, (d, t) is nega-decimation by d, then a
+        # nega-cyclic shift by tau mod N, then a negation when tau >= N
+        rng = random.Random(36)
+        for _ in range(300):
+            n = rng.randrange(1, 41)
+            s = random_sequence(rng, n)
+            d, t = random_unit(rng, 2 * n), rng.randrange(2 * n)
+            tau = pow(d, -1, 2 * n) * t % (2 * n)
+            chain = nega_cyclic_shift(nega_decimate(s, d), tau % n)
+            assert apply_witness(AffineWitness(d, t), s) == (negate(chain) if tau >= n else chain)
+
 
 class TestWitnessSearch:
     def test_self_is_identity(self):
@@ -315,6 +327,13 @@ class TestShiftNegationOrbit:
             assert reachable_without_negadecimation(s, negate(s))
 
     def test_matches_d1_brute_force(self):
+        # every pair with N <= 6, then 60 seeded pairs up to N = 64
+        pairs = [
+            (BinarySequence(a, n), BinarySequence(b, n))
+            for n in range(1, 7)
+            for a in range(1 << n)
+            for b in range(1 << n)
+        ]
         rng = random.Random(42)
         for _ in range(60):
             n = rng.randrange(1, 65)
@@ -323,6 +342,9 @@ class TestShiftNegationOrbit:
                 target = apply_witness(AffineWitness(1, rng.randrange(2 * n)), s)
             else:
                 target = random_sequence(rng, n)
+            pairs.append((s, target))
+        for s, target in pairs:
+            n = s.period
             expected = any(
                 oracle.apply_witness_naive(s.bits(), 1, t) == target.bits()
                 for t in range(2 * n)
