@@ -24,7 +24,9 @@ __all__ = [
 # C-set index -> the pair of D-class indices it unites
 CSET_PAIRS = {1: (0, 1), 2: (0, 2), 3: (0, 3), 4: (1, 2), 5: (1, 3), 6: (2, 3)}
 
-MAX_P = 10_000  # checked before any trial division; a verify_table row at 9973 takes about 11 ms
+# checked before any trial division; a verify_table row at 9973 takes
+# about 3 ms (Python 3.11, one Xeon core)
+MAX_P = 10_000
 
 
 def _check_p_limit(p: int) -> None:

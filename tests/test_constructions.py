@@ -16,6 +16,7 @@ from oacf import (
     is_applicable,
     is_prime,
     is_primitive_root,
+    nega_decimate,
     oacf,
     oacf_distribution,
     oacf_profile,
@@ -247,11 +248,16 @@ class TestVerifyTable:
 
     @staticmethod
     def _full_value_set(index, p, alpha=None):
-        s, _ = construct(index, p, alpha)
+        system = build_system(p, alpha)
+        s, _ = construct_in(system, index)
+        # the identity the 19 shifts rest on: eta(1, alpha^4) fixes every cell
+        eta, _ = crt_iso(p)
+        assert nega_decimate(s, eta(1, system.alpha**4 % p)) == s, (index, p, alpha)
         return tuple(oacf_distribution(s, include_zero_shift=False).entries)
 
     def test_orbit_values_match_full_profile(self):
-        # the 19 orbit shifts against every shift tau in [1, 4p)
+        # the 19 orbit shifts against every shift tau in [1, 4p), on
+        # sequences checked to be fixed by the nega-decimation
         primes = [p for p in range(5, 401) if is_prime(p) and p % 4 == 1]
         for p in primes:
             for index in range(1, 17):
@@ -264,16 +270,27 @@ class TestVerifyTable:
                     full = self._full_value_set(index, p, alpha)
                     assert verify_table(index, p, alpha).computed == full, (index, p, alpha)
 
-    def test_sequence_off_the_fixed_point_is_an_internal_error(self, monkeypatch):
+    def test_tables_row_reads_19_shifts_and_gathers_nothing(self, capsys, monkeypatch):
         import oacf.constructions
+        import oacf.sequences
 
-        def flipped(system, index, construct_in=oacf.constructions.construct_in):
-            s, u = construct_in(system, index)
-            return type(s)(s.word ^ 0b10, s.period), u
+        gathers, shift_counts = [], []
+        gathered, correlations_at = oacf.sequences._gathered, oacf.constructions._correlations_at
 
-        monkeypatch.setattr(oacf.constructions, "construct_in", flipped)
-        with pytest.raises(RuntimeError, match="not fixed by nega-decimation"):
-            verify_table(9, 13)
+        def counted_gather(*args):
+            gathers.append(args[1:])
+            return gathered(*args)
+
+        def counted_correlations(a, sign, shifts):
+            shift_counts.append(len(shifts))
+            return correlations_at(a, sign, shifts)
+
+        monkeypatch.setattr(oacf.sequences, "_gathered", counted_gather)
+        monkeypatch.setattr(oacf.constructions, "_correlations_at", counted_correlations)
+        assert main(["verify", "--tables", "--primes", "13"]) == 0
+        assert capsys.readouterr().out.endswith("tables: 12/12 rows passed\nverify: PASS\n")
+        assert gathers == []
+        assert shift_counts == [19] * 12
 
     def test_oacf_profile_antisymmetry_on_construction(self):
         s, _ = construct(2, 17)
