@@ -4,9 +4,11 @@ A sequence of period N is stored bit-packed in a single Python int (bit i
 holds element i).  Every operation reads the sequence continued to Z_2N:
 s || s for the periodic ones and s || (s + 1) for the odd-periodic ones, on
 which the wrap of an index past N carries the sign flip of the odd-periodic
-autocorrelation (OACF).  A shift is then a window of that 2N-bit word, a
-correlation a window / XOR / popcount, and a decimation a gather of its bit
-text, all on arbitrary-precision words and strings.
+autocorrelation (OACF).  A shift is then a window of that 2N-bit word and
+a correlation a window / XOR / popcount, 64 shifts to a window for a long
+profile; a decimation reads the word's bit text in strided slices, one run
+of positions d*i + t at a time, all on arbitrary-precision words and
+byte strings.
 
 All operations are pure functions returning new sequences; a BinarySequence
 is immutable, hashable, and safe to share across threads.
@@ -15,8 +17,8 @@ is immutable, hashable, and safe to share across threads.
 import math
 import re
 from collections import Counter
-from itertools import count, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, mod
+from itertools import accumulate, repeat
+from operator import attrgetter, eq, ge, gt, le, lt
 
 __all__ = [
     "MAX_N",
@@ -41,12 +43,18 @@ __all__ = [
     "nega_decimate",
 ]
 
-MAX_N = 65_536  # the CLI's largest period; an OACF profile at MAX_N takes 0.4 s
+MAX_N = 65_536  # the CLI's largest period; an OACF profile at MAX_N takes 0.16 s
 
 _SEPARATORS = " \t\r\n,"
 # checked first: int() also accepts '_', a sign, whitespace and other digits
 _INVALID_CHAR = re.compile(f"[^01{re.escape(_SEPARATORS)}]")
 _DROP_SEPARATORS = str.maketrans("", "", _SEPARATORS)
+
+# _correlations computes a profile in blocks of _BLOCK shifts from
+# N = _BLOCKED_FROM on: the rung of ladder_kernels.py from which the blocks
+# were the faster path for both profiles in every run
+_BLOCKED_FROM = 1176
+_BLOCK = 64
 
 
 def _read_only(self, name, *value):
@@ -245,12 +253,30 @@ def _extended(a: BinarySequence, sign: int) -> int:
     return a.word | (tail << a.period)
 
 
+def _columns(n: int, modulus: int, d: int) -> int:
+    """The column count c <= 2*sqrt(n) of a gather that needs the fewest
+    slices, about c + n*delta/modulus for delta = |c*d mod modulus| taken
+    in [0, modulus/2].  Only the continued-fraction denominators q of
+    d/modulus bring delta below its value at every smaller c, so only they
+    are tried: x and y are |q*d - p*modulus| for the last two of them."""
+    limit, best, least = math.isqrt(4 * n), 1, math.inf
+    q0, q1, x, y = 0, 1, modulus, d % modulus
+    while y and q1 <= limit:
+        cost = q1 * modulus + n * (y if 2 * y <= modulus else modulus - y)
+        if cost < least:
+            best, least = q1, cost
+        k = x // y
+        q0, q1, x, y = q1, q0 + k * q1, y, x - k * y
+    return best
+
+
 def _gathered(a: BinarySequence, d: int, t: int, sign: int, requirement: str) -> BinarySequence:
-    """b(i) = e(d*i + t) for i < N over the continued word e of ``a``,
-    picked from its bit text at C speed (for N = 1, itemgetter returns the
-    one character itself, which join takes as well); d must be a unit mod
-    N (sign = 1) or mod 2N (sign = -1), and ``requirement`` names the
-    operation in the error."""
+    """b(i) = e(d*i + t) for i < N over the continued word e of ``a``; d must
+    be a unit mod N (sign = 1) or mod 2N (sign = -1), and ``requirement``
+    names the operation in the error.  Indices i = j (mod c) form column j,
+    whose positions in the bit text of e step by delta = c*d, so each column
+    is a few strided slices of the text between its wraps, written into the
+    result with one strided assignment each."""
     n = a.period
     modulus, name = (n, "N") if sign == 1 else (2 * n, "2N")
     if math.gcd(d, modulus) != 1:
@@ -258,8 +284,24 @@ def _gathered(a: BinarySequence, d: int, t: int, sign: int, requirement: str) ->
             f"gcd(d={d}, {name}={modulus}) = {math.gcd(d, modulus)}; "
             f"{requirement} gcd(d, {name}) = 1"
         )
-    text = _bit_text(_extended(a, sign), 2 * n)
-    return _from_text("".join(itemgetter(*map(mod, count(t, d), repeat(2 * n, n)))(text)))
+    # e has period N for sign = 1, so its N-bit text suffices there
+    digits = format(a.word if sign == 1 else _extended(a, -1), f"0{modulus}b").encode()
+    c = _columns(n, modulus, d)
+    if 2 * (c * d % modulus) > modulus:
+        # delta < 0: step forwards through the digits as printed, e(j) at modulus-1-j
+        text, d, t = digits, -d, modulus - 1 - t
+    else:
+        text = digits[::-1]
+    step = c * d % modulus or modulus  # 0 only for N = 1 and sign = 1
+    out = bytearray(n)
+    for j in range(c):
+        i, p = j, (d * j + t) % modulus
+        while i < n:
+            # the rest of column j, cut short where its positions wrap
+            run = text[p:p + (n - 1 - i) // c * step + 1:step]
+            out[i:i + len(run) * c:c] = run
+            i, p = i + len(run) * c, p + len(run) * step - modulus
+    return _from_text(out)
 
 
 def _check_shift(tau: int, n: int) -> None:
@@ -283,10 +325,38 @@ def _correlations_at(a: BinarySequence, sign: int, shifts) -> list[int]:
 
 def _correlations(a: BinarySequence, sign: int) -> list[int]:
     """``_correlations_at`` every tau < N.  The value at N - tau is sign
-    times the value at tau, so only tau <= N/2 is computed."""
+    times the value at tau, so only tau <= N/2 is computed: one shift at a
+    time below ``_BLOCKED_FROM``, and in blocks of ``_BLOCK`` from there."""
     n = a.period
-    half = _correlations_at(a, sign, range(n // 2 + 1))
+    shifts = n // 2 + 1
+    if n < _BLOCKED_FROM:
+        half = _correlations_at(a, sign, range(shifts))
+    else:
+        half = _blocked_correlations(a, sign, shifts)
     return half + [sign * value for value in reversed(half[1:(n + 1) // 2])]
+
+
+def _blocked_correlations(a: BinarySequence, sign: int, shifts: int) -> list[int]:
+    """``_correlations_at`` every tau < ``shifts``, one block of shifts
+    tau = b + r (r < B) per window base = bits [b, b + N + B) of the
+    continued word e.  Bits [r, r + N) of base are the window at tau, so
+    popcount(word ^ window) = popcount((word << r) ^ base) - popcount(base)
+    + wt(tau), where wt(tau) is the window's weight: popcount(word) for the
+    PACF, popcount(word) + tau - 2*popcount(word & mask(tau)) for the OACF."""
+    n, word, block = a.period, a.word, _BLOCK
+    ext, window = _extended(a, sign), _mask(n + block)
+    shifted = [word << r for r in range(block)]
+    # lift(tau) = n - 2*wt(tau); for the OACF, wt(tau + 1) - wt(tau) = 1 - 2*a(tau)
+    lift = n - 2 * word.bit_count()
+    lifts = (repeat(lift, shifts) if sign == 1 else
+             accumulate(map({"0": -2, "1": 2}.get, _bit_text(word, n)[:shifts - 1]), initial=lift))
+    values = []
+    for b in range(0, shifts, block):
+        base = (ext >> b) & window
+        weight = 2 * base.bit_count()
+        # zip takes the next `block` lifts, or the last ones
+        values += [weight + lift - 2 * (w ^ base).bit_count() for w, lift in zip(shifted, lifts)]
+    return values
 
 
 def pacf(a: BinarySequence, tau: int) -> int:

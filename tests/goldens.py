@@ -4,13 +4,16 @@ A period-10 pair related by 3-decimation (which does NOT preserve the
 odd-periodic profile), and a period-31 pair related by 3-fold
 nega-decimation (which does), with their full odd-periodic profiles.
 
-``seq``, ``random_sequence`` and ``random_unit`` are defined here only;
-the test modules import them from this one definition.
+``seq``, ``random_sequence``, ``random_unit`` and ``profile_path`` are
+defined here only; the test modules import them from this one definition.
 """
 
+import contextlib
 import math
 
-from oacf import BinarySequence
+import pytest
+
+from oacf import BinarySequence, sequences
 
 
 def seq(text):
@@ -27,6 +30,22 @@ def random_unit(rng, modulus):
         d = rng.randrange(1, modulus, 2)
         if math.gcd(d, modulus) == 1:
             return d
+
+
+# None: _correlations as it is, per shift below its cutoff; else blocks of
+# that many shifts at every N, which covers a partial last block at odd and
+# even N
+PROFILE_BLOCKS = (None, 1, 2, 3, 64)
+
+
+@contextlib.contextmanager
+def profile_path(block):
+    """Run ``_correlations`` on the path that ``block`` names."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block:
+            patch.setattr(sequences, "_BLOCKED_FROM", 1)
+            patch.setattr(sequences, "_BLOCK", block)
+        yield
 
 
 # period-10 pair: PAIR10_B is the 3-decimation of PAIR10_A

@@ -28,6 +28,7 @@ from oacf import (
 )
 
 import oracle
+from goldens import PROFILE_BLOCKS, profile_path
 
 bounded = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -59,10 +60,12 @@ def witness_image(bits, data):
 def test_profiles_match_oracle(bits):
     s = BinarySequence.from_bits(bits)
     n = len(bits)
-    assert pacf_profile(s).values == tuple(oracle.pacf_naive(bits, tau) for tau in range(n))
-    assert oacf_profile(s).values == tuple(oracle.oacf_naive(bits, tau) for tau in range(n))
-    assert [pacf(s, tau) for tau in range(n)] == list(pacf_profile(s).values)
-    assert [oacf(s, tau) for tau in range(n)] == list(oacf_profile(s).values)
+    for block in PROFILE_BLOCKS:
+        with profile_path(block):
+            assert pacf_profile(s).values == tuple(oracle.pacf_naive(bits, tau) for tau in range(n))
+            assert oacf_profile(s).values == tuple(oracle.oacf_naive(bits, tau) for tau in range(n))
+            assert [pacf(s, tau) for tau in range(n)] == list(pacf_profile(s).values)
+            assert [oacf(s, tau) for tau in range(n)] == list(oacf_profile(s).values)
 
 
 @bounded

@@ -29,7 +29,7 @@ from oacf import (
 
 import goldens
 import oracle
-from goldens import random_sequence, seq
+from goldens import PROFILE_BLOCKS, profile_path, random_sequence, seq
 
 
 class TestBinarySequence:
@@ -401,14 +401,17 @@ class TestKernelsAgainstOracle:
             s = random_sequence(rng, n)
             bits = s.bits()
             expected_oacf = tuple(oracle.oacf_naive(bits, t) for t in range(n))
-            assert oacf_profile(s).values == expected_oacf
-            assert pacf_profile(s).values == tuple(oracle.pacf_naive(bits, t) for t in range(n))
-            for start, include_zero in ((0, True), (1, False)):
-                assert oacf_distribution(s, include_zero).entries == dict(
-                    sorted(Counter(expected_oacf[start:]).items())
-                )
-            if n > 1:
-                assert peak_oacf(s) == max(abs(v) for v in expected_oacf[1:])
+            expected_pacf = tuple(oracle.pacf_naive(bits, t) for t in range(n))
+            for block in PROFILE_BLOCKS:
+                with profile_path(block):
+                    assert oacf_profile(s).values == expected_oacf
+                    assert pacf_profile(s).values == expected_pacf
+                    for start, include_zero in ((0, True), (1, False)):
+                        assert oacf_distribution(s, include_zero).entries == dict(
+                            sorted(Counter(expected_oacf[start:]).items())
+                        )
+                    if n > 1:
+                        assert peak_oacf(s) == max(abs(v) for v in expected_oacf[1:])
 
     @pytest.mark.parametrize("n", [1000, 4096])
     def test_profiles_match_single_shift(self, n):
@@ -443,3 +446,27 @@ class TestKernelsAgainstOracle:
         assert apply_witness(AffineWitness(d, t), s).bits() == (
             oracle.apply_witness_naive(bits, d, t)
         )
+
+    def test_gathers_match_naive_exhaustively(self):
+        # every unit d in [-4N, 4N] and every offset t, so every column count
+        # and both directions of the column step are read
+        for n in range(1, 25):
+            s = random_sequence(random.Random(n), n)
+            bits = s.bits()
+            for d in range(-4 * n, 4 * n + 1):
+                if math.gcd(d, n) == 1:
+                    assert decimate(s, d).bits() == oracle.decimate_naive(bits, d), (n, d)
+                if math.gcd(d, 2 * n) == 1:
+                    assert nega_decimate(s, d).bits() == oracle.nega_decimate_naive(bits, d), (n, d)
+                    for t in range(-2 * n, 2 * n):
+                        assert apply_witness(AffineWitness(d, t), s).bits() == (
+                            oracle.apply_witness_naive(bits, d, t)
+                        ), (n, d, t)
+
+    def test_gathers_at_period_1(self):
+        # every d is a unit mod 1, and every column step is 0 mod N there
+        for word in (0, 1):
+            s = BinarySequence(word, 1)
+            assert decimate(s, 0) == decimate(s, 2) == decimate(s, -1) == s
+            assert nega_decimate(s, 1) == nega_decimate(s, -3) == s
+            assert apply_witness(AffineWitness(1, 1), s) == negate(s)
