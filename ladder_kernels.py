@@ -5,11 +5,11 @@
 Times ``oacf_profile`` and ``pacf_profile`` at each period N on both sides
 of the blocked-profile cutoff (the per-shift path and blocks of
 ``_BLOCK`` shifts, whatever N is), and ``decimate``, ``nega_decimate`` and
-``apply_witness`` over 12 seeded units and offsets. Each time is the best of
-``--repeat`` rounds, per call, in ms. Next to it stand the work counts of
-one call: shifts and blocks for a profile, and for a gather the mean number
-of columns and of strided slice assignments, counted in a separate untimed
-pass. The counts depend only on the inputs, so they separate a change in
+``apply_witness`` over 12 units and offsets; sequences, units and offsets
+are drawn from ``SEED``. Each time is the best of ``--repeat`` rounds, per
+call, in ms. Next to it stand the work counts of one call: shifts and
+blocks for a profile, and for a gather the mean number of columns and of
+strided slice assignments, counted in a separate untimed pass. The counts depend only on the inputs, so they separate a change in
 work from a change in host speed. The cutoff ``_BLOCKED_FROM`` is read off
 the ladder as the period from which the blocked path is the faster one.
 
@@ -36,6 +36,7 @@ from oacf import sequences  # noqa: E402
 
 RUNGS = (64, 512, 1176, 1625, 4096, 8192)
 UNITS = 12
+SEED = 1
 
 
 def _best_ms(calls: dict, repeat: int) -> dict:
@@ -143,10 +144,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rungs", default=",".join(map(str, RUNGS)),
                         help="comma-separated periods N (default: %(default)s)")
     parser.add_argument("--repeat", type=int, default=9, help="timed rounds per kernel (default: 9)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the sequences and units (default: 1)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder_kernels.json")
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     rungs = []
     for n in map(int, args.rungs.split(",")):
         s = BinarySequence(rng.getrandbits(n), n)
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
-            "seed": args.seed,
+            "seed": SEED,
             "repeat": args.repeat,
         },
         "blocked_from": sequences._BLOCKED_FROM,

@@ -449,10 +449,12 @@ class TestKernelsAgainstOracle:
 
     def test_gathers_match_naive_exhaustively(self):
         # every unit d in [-4N, 4N] and every offset t, so every column count
-        # and both directions of the column step are read
-        for n in range(1, 25):
-            s = random_sequence(random.Random(n), n)
-            bits = s.bits()
+        # and both directions of the column step are read; at N = 1 every d
+        # is a unit and every column step is 0, so both words pin that case
+        cases = [BinarySequence(w, 1) for w in (0, 1)]
+        cases += [random_sequence(random.Random(n), n) for n in range(2, 25)]
+        for s in cases:
+            n, bits = s.period, s.bits()
             for d in range(-4 * n, 4 * n + 1):
                 if math.gcd(d, n) == 1:
                     assert decimate(s, d).bits() == oracle.decimate_naive(bits, d), (n, d)
@@ -462,11 +464,3 @@ class TestKernelsAgainstOracle:
                         assert apply_witness(AffineWitness(d, t), s).bits() == (
                             oracle.apply_witness_naive(bits, d, t)
                         ), (n, d, t)
-
-    def test_gathers_at_period_1(self):
-        # every d is a unit mod 1, and every column step is 0 mod N there
-        for word in (0, 1):
-            s = BinarySequence(word, 1)
-            assert decimate(s, 0) == decimate(s, 2) == decimate(s, -1) == s
-            assert nega_decimate(s, 1) == nega_decimate(s, -3) == s
-            assert apply_witness(AffineWitness(1, 1), s) == negate(s)
