@@ -1,15 +1,21 @@
-"""Ladder of the correlation and bit-permutation kernels of ``oacf.sequences``.
+"""Ladder of the correlation and bit-permutation kernels of ``oacf.sequences``
+and of the two formats of an ``oacf S`` report.
 
     PYTHONPATH=src python3 ladder_kernels.py [--rungs 64,512] [--repeat 5] [--out FILE]
 
 Times ``oacf_profile`` and ``pacf_profile`` at each period N on both sides
 of the blocked-profile cutoff (the per-shift path and blocks of
-``_BLOCK`` shifts, whatever N is), and ``decimate``, ``nega_decimate`` and
+``_BLOCK`` shifts, whatever N is), the two formats that ``oacf S`` prints
+of the OACF profile, and ``decimate``, ``nega_decimate`` and
 ``apply_witness`` over 12 units and offsets; sequences, units and offsets
-are drawn from ``SEED``. Each time is the best of ``--repeat`` rounds, per
-call, in ms. Next to it stand the work counts of one call: shifts and
-blocks for a profile, and for a gather the mean number of columns and of
-strided slice assignments, counted in a separate untimed pass. The counts depend only on the inputs, so they separate a change in
+are drawn from ``SEED``. The formats are the text line (``oacf_text``, the
+CLI's ``_values_line``, next to the plain ``" ".join`` it replaced as
+``oacf_join``) and the ``--json`` document (``oacf_json``). Each time is
+the best of ``--repeat`` rounds, per call, in ms. Next to it stand the
+work counts of one call: shifts and blocks for a profile, values and
+characters written for a format, and for a gather the mean number of
+columns and of strided slice assignments, counted in a separate untimed
+pass. The counts depend only on the inputs, so they separate a change in
 work from a change in host speed. The cutoff ``_BLOCKED_FROM`` is read off
 the ladder as the period from which the blocked path is the faster one.
 
@@ -33,6 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from oacf import AffineWitness, BinarySequence, apply_witness  # noqa: E402
 from oacf import decimate, nega_decimate, oacf_profile, pacf_profile  # noqa: E402
 from oacf import sequences  # noqa: E402
+from oacf.cli import _values_line  # noqa: E402
 
 RUNGS = (64, 512, 1176, 1625, 4096, 8192)
 UNITS = 12
@@ -118,6 +125,19 @@ def _profile_rung(s: BinarySequence, repeat: int) -> dict:
     }
 
 
+def _format_rung(s: BinarySequence, repeat: int) -> dict:
+    values = oacf_profile(s).values
+    payload = {"kind": "OACF", "period": s.period, "values": values}
+    calls = {
+        "oacf_text": lambda: _values_line(values),
+        "oacf_join": lambda: " ".join(map(str, values)),
+        "oacf_json": lambda: json.dumps(payload, sort_keys=True),
+    }
+    times = _best_ms(calls, repeat)
+    return {name: {"ms": times[name], "values": len(values), "chars": len(call())}
+            for name, call in calls.items()}
+
+
 def _gather_rung(s: BinarySequence, rng: random.Random, repeat: int) -> dict:
     n = s.period
     plain, nega = _units(rng, n), _units(rng, 2 * n)
@@ -150,7 +170,8 @@ def main(argv=None) -> int:
     rungs = []
     for n in map(int, args.rungs.split(",")):
         s = BinarySequence(rng.getrandbits(n), n)
-        record = {"n": n, **_profile_rung(s, args.repeat), **_gather_rung(s, rng, args.repeat)}
+        record = {"n": n, **_profile_rung(s, args.repeat), **_format_rung(s, args.repeat),
+                  **_gather_rung(s, rng, args.repeat)}
         rungs.append(record)
         print(f"N={n}", " ".join(f"{k}={v['ms']:.4f}ms" for k, v in record.items() if k != "n"))
     report = {

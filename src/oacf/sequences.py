@@ -18,7 +18,7 @@ import math
 import re
 from collections import Counter
 from itertools import accumulate, repeat
-from operator import attrgetter, eq, ge, gt, le, lt
+from operator import attrgetter, eq, ge, gt, le, lt, neg
 
 __all__ = [
     "MAX_N",
@@ -134,14 +134,12 @@ class BinarySequence:
 
     @classmethod
     def from_bits(cls, bits) -> "BinarySequence":
-        word = 0
-        n = 0
+        digits = bytearray()
         for b in bits:
             if b not in (0, 1):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            word |= b << n
-            n += 1
-        return cls(word, n)
+            digits.append(48 + b)  # '0' or '1'; TypeError for a non-integer such as 1.0
+        return cls(int(digits[::-1] or b"0", 2), len(digits))
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySequence":
@@ -333,7 +331,8 @@ def _correlations(a: BinarySequence, sign: int) -> list[int]:
         half = _correlations_at(a, sign, range(shifts))
     else:
         half = _blocked_correlations(a, sign, shifts)
-    return half + [sign * value for value in reversed(half[1:(n + 1) // 2])]
+    mirror = half[(n - 1) // 2:0:-1]  # tau = (N-1)//2 down to 1, for N - tau ascending
+    return half + (mirror if sign == 1 else list(map(neg, mirror)))
 
 
 def _blocked_correlations(a: BinarySequence, sign: int, shifts: int) -> list[int]:

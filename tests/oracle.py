@@ -5,6 +5,7 @@ arithmetic, independent of the package's bit-packed kernels, so the two
 paths can be checked against each other.  The rest are the package's former
 implementations, kept as differential oracles of the faster ones:
 ``from_string_reference`` is the per-character parser,
+``from_bits_reference`` the per-bit OR of ``from_bits``,
 ``_decimate_word`` the per-bit decimation loop,
 ``build_support`` the literal support set of a construction, with
 ``characteristic_reference`` its per-residue construction word, and
@@ -50,6 +51,18 @@ def from_string_reference(text: str) -> BinarySequence:
             )
     if n == 0:
         raise SequenceParseError("empty sequence literal", 0)
+    return BinarySequence(word, n)
+
+
+def from_bits_reference(bits) -> BinarySequence:
+    """Build a sequence from 0/1 items, ORing each bit into a growing word."""
+    word = 0
+    n = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bit values must be 0 or 1, got {b!r}")
+        word |= b << n
+        n += 1
     return BinarySequence(word, n)
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oacf
-from oacf import MAX_N, MAX_P, BinarySequence, construct, oacf_distribution, oacf_profile
+from oacf import (
+    MAX_N,
+    MAX_P,
+    BinarySequence,
+    ValueMultiset,
+    construct,
+    oacf_distribution,
+    oacf_profile,
+    pacf_profile,
+)
 from oacf.cli import _APPLY_OPS, _COMMANDS, main
 
 import goldens
@@ -68,6 +78,41 @@ class TestOacfCommand:
         code, out, _ = run_cli(capsys, "oacf", "00", "--distribution", "--json")
         payload = json.loads(out)
         assert payload["distribution"] == [[0, 1], [2, 1]]
+
+    def test_every_mode_prints_the_plain_join(self, capsys):
+        # the text line against " ".join(map(str, values)) and the JSON
+        # document against the payload with its values as a list
+        rng = random.Random(29)
+        for n in [*range(1, 301), 1176, 8192]:
+            s = goldens.random_sequence(rng, n)
+            for flags, profile in (((), oacf_profile(s)), (("--pacf",), pacf_profile(s))):
+                values = profile.values
+                dist = ValueMultiset(values)
+                head = {"kind": profile.kind, "period": n}
+                expected = {
+                    (): " ".join(map(str, values)),
+                    ("--json",): json.dumps({**head, "values": list(values)}, sort_keys=True),
+                    ("--distribution",): dist.multiset_notation(),
+                    ("--distribution", "--json"): json.dumps(
+                        {**head, "distribution": [[v, m] for v, m in dist.entries.items()]},
+                        sort_keys=True),
+                }
+                for extra, text in expected.items():
+                    reply = run_cli(capsys, "oacf", str(s), *flags, *extra)
+                    assert reply == (0, text + "\n", ""), (n, flags, extra)
+
+    def test_json_renders_no_text_line(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a --json request rendered its text line")
+
+        monkeypatch.setattr("oacf.cli._values_line", refuse)
+        monkeypatch.setattr(ValueMultiset, "multiset_notation", refuse)
+        for extra in ((), ("--pacf",), ("--distribution",), ("--pacf", "--distribution")):
+            code, out, _ = run_cli(capsys, "oacf", goldens.PAIR10_A, "--json", *extra)
+            assert code == 0 and json.loads(out)["period"] == 10
+            # the same request without --json reaches the renderer
+            with pytest.raises(AssertionError, match="rendered its text line"):
+                main(["oacf", goldens.PAIR10_A, *extra])
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "oacf", "01x0")

@@ -25,6 +25,9 @@ def test_ladder_smoke_run_at_the_smallest_rung(tmp_path):
         assert rung[f"{kind}.per_shift"]["shifts"] == rung[f"{kind}.blocked"]["shifts"] == 33
         assert rung[f"{kind}.per_shift"]["blocks"] == 0
         assert rung[f"{kind}.blocked"]["blocks"] == -(-33 // report["block"])
+    text, join, document = rung["oacf_text"], rung["oacf_join"], rung["oacf_json"]
+    assert text["values"] == join["values"] == document["values"] == 64
+    assert text["chars"] == join["chars"] < document["chars"]
     for kind in ("decimate", "nega_decimate", "apply_witness"):
         assert 1 <= rung[kind]["columns"] <= rung[kind]["slices"] <= 64
     assert all(value["ms"] > 0 for key, value in rung.items() if key != "n")

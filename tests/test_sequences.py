@@ -2,10 +2,12 @@ import math
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from oacf import (
+    MAX_N,
     AffineWitness,
     BinarySequence,
     NotCoprimeError,
@@ -344,6 +346,20 @@ def _parse_outcome(parse, text):
     return s.word, s.period
 
 
+def _bits_outcome(build, bits):
+    # (word, period) of the sequence built from one pass over ``bits``, or
+    # the error: a ValueError with its message, a TypeError (a non-integer
+    # bit equal to 0 or 1, such as 1.0) by its type alone, since the
+    # operation that rejects it differs
+    try:
+        s = build(iter(bits))
+    except ValueError as exc:
+        return ValueError, str(exc)
+    except TypeError:
+        return TypeError
+    return s.word, s.period
+
+
 def _unit(rng, modulus):
     # a random d with gcd(d, modulus) = 1, drawn from a range wider than the
     # modulus and of either sign
@@ -368,6 +384,19 @@ class TestKernelsAgainstOracle:
             assert _parse_outcome(BinarySequence.from_string, text) == _parse_outcome(
                 oracle.from_string_reference, text
             ), repr(text)
+
+    BITS_CASES = (
+        [], [0], [1], [True, False, True], b"\x01\x00\x01", "0101", [0, 2], [2], [1, -1],
+        ["1"], [None], [0.5], [1.0], [1.0, 2], [0, 1, 1.0, 2], [1, Fraction(1)], [1 + 0j],
+    )
+
+    def test_from_bits_matches_reference(self):
+        rng = random.Random(64)
+        seeded = [[rng.getrandbits(1) for _ in range(rng.randrange(1, 300))] for _ in range(100)]
+        for bits in (*self.BITS_CASES, *seeded, [rng.getrandbits(1) for _ in range(MAX_N)]):
+            assert _bits_outcome(BinarySequence.from_bits, bits) == _bits_outcome(
+                oracle.from_bits_reference, bits
+            ), repr(bits)[:80]
 
     def test_from_string_matches_reference_on_seeded_literals(self):
         rng = random.Random(61)
@@ -396,9 +425,10 @@ class TestKernelsAgainstOracle:
 
     def test_profiles_match_naive(self):
         rng = random.Random(62)
-        for _ in range(60):
-            n = rng.randrange(1, 65)
-            s = random_sequence(rng, n)
+        # every word of N <= 3, whose mirrored half is empty or one value
+        smallest = [BinarySequence(word, n) for n in (1, 2, 3) for word in range(1 << n)]
+        for s in [*smallest, *(random_sequence(rng, rng.randrange(1, 65)) for _ in range(60))]:
+            n = s.period
             bits = s.bits()
             expected_oacf = tuple(oracle.oacf_naive(bits, t) for t in range(n))
             expected_pacf = tuple(oracle.pacf_naive(bits, t) for t in range(n))
