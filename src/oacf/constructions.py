@@ -53,7 +53,7 @@ _4Y_P8 = (8, 0, 4)
 _4Y_M8 = (-8, 0, 4)
 
 
-@_record(frozen=True)
+@_record()
 class ConstructionSpec:
     index: int
     g_prime: frozenset[int]
@@ -175,7 +175,7 @@ def construct(index: int, p: int, alpha: int | None = None) -> tuple[BinarySeque
     return construct_in(build_system(p, alpha), index)
 
 
-@_record(frozen=True)
+@_record()
 class VerificationReport:
     """Distinct-OACF-value check of one construction at one prime.
 

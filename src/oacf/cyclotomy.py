@@ -78,7 +78,7 @@ def is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
-@_record(frozen=True)
+@_record()
 class CyclotomicSystem:
     """Prime p with quartic decomposition, a fixed generator, and the four
     order-4 cyclotomic classes (which partition Z_p \\ {0})."""

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@_record(frozen=True, order=True)
+@_record(order=True)
 class AffineWitness:
     """Index map i -> d*i + t on the doubled index set Z_{2N}.
 
@@ -146,22 +146,20 @@ def classify(labeled) -> list[EquivalenceClass]:
                 f"mixed periods: {label!r} has period {seq.period}, expected {period}"
             )
     # a sequence is searched against the representatives of its own key
-    # only, in the order they were made
-    groups: dict[tuple[int, ...], list[tuple[BinarySequence, EquivalenceClass]]] = {}
-    classes: list[EquivalenceClass] = []
+    # only, in the order they were made; the classes are built at the end
+    groups: dict[tuple[int, ...], list[tuple[BinarySequence, dict[str, AffineWitness]]]] = {}
+    found: dict[str, dict[str, AffineWitness]] = {}
     for label, seq in items:
         reps = groups.setdefault(_key(_correlations(seq, -1)), [])
-        for rep_seq, cls in reps:
+        for rep_seq, witnesses in reps:
             witness = oacf_equivalent(rep_seq, seq)
             if witness is not None:
-                cls.members += (label,)
-                cls.witnesses[label] = witness
+                witnesses[label] = witness
                 break
         else:
-            cls = EquivalenceClass(label, (label,), {label: AffineWitness(1, 0)})
-            reps.append((seq, cls))
-            classes.append(cls)
-    return classes
+            found[label] = witnesses = {label: AffineWitness(1, 0)}
+            reps.append((seq, witnesses))
+    return [EquivalenceClass(rep, tuple(ws), ws) for rep, ws in found.items()]
 
 
 # (row, source index, target index, printed alpha exponent, negate source first)
@@ -177,7 +175,7 @@ TABLE4_RELATIONS = (
 )
 
 
-@_record(frozen=True)
+@_record()
 class Table4RowReport:
     """Outcome of one explicit pairing relation.
 
@@ -211,7 +209,7 @@ class Table4RowReport:
         return self.printed_match or self.inverse_match
 
 
-@_record(frozen=True)
+@_record()
 class Table4Report:
     p_even_f: int
     p_odd_f: int

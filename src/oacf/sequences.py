@@ -10,8 +10,10 @@ profile; a decimation reads the word's bit text in strided slices, one run
 of positions d*i + t at a time, all on arbitrary-precision words and
 byte strings.
 
-All operations are pure functions returning new sequences; a BinarySequence
-is immutable, hashable, and safe to share across threads.
+All operations are pure functions returning new values.  Every value type
+of the package is read-only (assigning or deleting a field raises
+AttributeError), compares by value, pickles and copies to an equal value,
+and is safe to share across threads.
 """
 
 import math
@@ -58,7 +60,7 @@ _BLOCK = 64
 
 
 def _read_only(self, name, *value):
-    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a read-only record")
 
 
 def _comparison(op, key):
@@ -68,13 +70,17 @@ def _comparison(op, key):
     return compare
 
 
-def _record(frozen: bool = False, order: bool = False):
-    """Class decorator for a plain record, in place of ``dataclasses.dataclass``,
-    whose import and generated code cost more than the rest of the package's
-    import.  The annotated names are the fields, in order; the record gets an
-    ``__init__`` taking them by position or keyword, and ``__eq__`` and
-    ``__repr__`` over them.  A frozen record is hashable and raises
-    AttributeError on assignment; ``order`` compares the field tuples."""
+def _record(order: bool = False):
+    """Class decorator for a read-only value type, in place of
+    ``dataclasses.dataclass(frozen=True)``, whose import and generated code
+    cost more than the rest of the package's import.  The annotated names
+    are the fields, in order.  Where the class does not define them itself,
+    the record gets an ``__init__`` taking the fields by position or keyword,
+    and ``__repr__``, ``__eq__`` and ``__hash__`` over them; ``order`` adds
+    comparisons of the field tuples.  Assigning or deleting an attribute
+    raises AttributeError, so a class's own ``__init__`` writes ``__dict__``,
+    through which a record pickles and copies; a dict-valued field stays a
+    plain dict, since a mapping proxy does not pickle."""
 
     def decorate(cls):
         fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -90,13 +96,13 @@ def _record(frozen: bool = False, order: bool = False):
             body = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
             return f"{self.__class__.__qualname__}({body})"
 
-        cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, _comparison(eq, key)
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _read_only
-        if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (
-                _comparison(op, key) for op in (lt, le, gt, ge))
+        ops = (eq, lt, le, gt, ge) if order else (eq,)
+        methods = {f"__{op.__name__}__": _comparison(op, key) for op in ops}
+        methods.update(__init__=__init__, __repr__=__repr__, __hash__=lambda self: hash(key(self)))
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        cls.__setattr__ = cls.__delattr__ = _read_only
         return cls
 
     return decorate
@@ -114,31 +120,33 @@ class NotCoprimeError(ValueError):
     """A decimation parameter shares a factor with the (doubled) period."""
 
 
+@_record()
 class BinarySequence:
-    """Immutable binary sequence of period N, bit-packed into ``word``.
+    """Binary sequence of period N, bit-packed into ``word``.
 
     Bit i of ``word`` is the element at index i.  Raw element access
     requires 0 <= i < N; operations that wrap indices reduce them mod N
     explicitly.
     """
 
-    __slots__ = ("word", "period")
+    word: int
+    period: int
 
     def __init__(self, word: int, period: int):
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         if not 0 <= word < (1 << period):
             raise ValueError(f"word does not fit in {period} bits")
-        self.word = word
-        self.period = period
+        self.__dict__.update(word=word, period=period)
 
     @classmethod
     def from_bits(cls, bits) -> "BinarySequence":
         digits = bytearray()
         for b in bits:
-            if b not in (0, 1):
+            # an integer type has __index__; 1.0, Fraction(1) and 1+0j equal 1 without it
+            if b not in (0, 1) or not hasattr(b, "__index__"):
                 raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-            digits.append(48 + b)  # '0' or '1'; TypeError for a non-integer such as 1.0
+            digits.append(48 + b)  # '0' or '1'
         return cls(int(digits[::-1] or b"0", 2), len(digits))
 
     @classmethod
@@ -164,16 +172,6 @@ class BinarySequence:
             raise IndexError(f"index {i} out of range [0, {self.period})")
         return (self.word >> i) & 1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinarySequence)
-            and self.period == other.period
-            and self.word == other.word
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.period))
-
     def __str__(self) -> str:
         return _bit_text(self.word, self.period)
 
@@ -181,7 +179,7 @@ class BinarySequence:
         return f"BinarySequence({str(self)!r})"
 
 
-@_record(frozen=True)
+@_record()
 class CorrelationProfile:
     """Correlation values indexed by shift tau in [0, N).
 
@@ -197,13 +195,14 @@ class CorrelationProfile:
         return len(self.values)
 
 
+@_record()
 class ValueMultiset:
     """Multiset of integer correlation values with multiplicities."""
 
-    __slots__ = ("entries",)
+    entries: dict[int, int]  # value -> multiplicity, by ascending value
 
     def __init__(self, values):
-        self.entries: dict[int, int] = dict(sorted(Counter(values).items()))
+        self.__dict__["entries"] = dict(sorted(Counter(values).items()))
 
     def multiset_notation(self) -> str:
         """Render as ``{* (-9)^2, -3, 1^6, 31 *}`` (exponent = multiplicity)."""
@@ -216,9 +215,6 @@ class ValueMultiset:
             else:
                 parts.append(f"{value}^{mult}")
         return "{* " + ", ".join(parts) + " *}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ValueMultiset) and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash(tuple(self.entries.items()))

@@ -10,8 +10,7 @@ defined here only; the test modules import them from this one definition.
 
 import contextlib
 import math
-
-import pytest
+from unittest import mock
 
 from oacf import BinarySequence, sequences
 
@@ -38,14 +37,12 @@ def random_unit(rng, modulus):
 PROFILE_BLOCKS = (None, 1, 2, 3, 64)
 
 
-@contextlib.contextmanager
 def profile_path(block):
-    """Run ``_correlations`` on the path that ``block`` names."""
-    with pytest.MonkeyPatch.context() as patch:
-        if block:
-            patch.setattr(sequences, "_BLOCKED_FROM", 1)
-            patch.setattr(sequences, "_BLOCK", block)
-        yield
+    """Run ``_correlations`` on the path that ``block`` names.  This module
+    needs no pytest, so that ``test_cli_corpus.py --check`` runs without it."""
+    if not block:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(sequences, _BLOCKED_FROM=1, _BLOCK=block)
 
 
 # period-10 pair: PAIR10_B is the 3-decimation of PAIR10_A

@@ -17,6 +17,7 @@ Burnside's lemma, with no search at all.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from oacf.constructions import (
@@ -55,13 +56,18 @@ def from_string_reference(text: str) -> BinarySequence:
 
 
 def from_bits_reference(bits) -> BinarySequence:
-    """Build a sequence from 0/1 items, ORing each bit into a growing word."""
+    """Build a sequence from 0/1 items, ORing each bit into a growing word.
+    An item must be an integer (have ``__index__``) equal to 0 or 1."""
     word = 0
     n = 0
     for b in bits:
-        if b not in (0, 1):
+        try:
+            bit = operator.index(b)
+        except TypeError:
+            bit = None
+        if bit not in (0, 1):
             raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-        word |= b << n
+        word |= bit << n
         n += 1
     return BinarySequence(word, n)
 

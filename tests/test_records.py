@@ -1,7 +1,9 @@
 """The package's records, and the modules that importing the package and
 running the CLI load."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,13 @@ import oacf
 from oacf import (
     AffineWitness,
     BinarySequence,
+    EquivalenceClass,
+    ValueMultiset,
     build_system,
     classify,
+    construct,
     construction_spec,
+    oacf_distribution,
     oacf_profile,
     verify_table,
     verify_table4,
@@ -100,33 +106,59 @@ class TestAffineWitness:
 
 
 TABLE4 = verify_table4(17, 13)
+CLASSES = classify({f"s{i}": construct(i, 13)[0] for i in range(5, 17)})
+SEQUENCE = BinarySequence.from_string("0110")
 
-
-@pytest.mark.parametrize("record", [
+RECORDS = [
+    SEQUENCE,
+    oacf_profile(SEQUENCE),
+    oacf_distribution(SEQUENCE),
     AffineWitness(1, 0),
-    oacf_profile(BinarySequence.from_string("0110")),
+    CLASSES[0],
     build_system(13),
     construction_spec(9),
     verify_table(9, 13),
     TABLE4.rows[0],
     TABLE4,
-], ids=lambda record: type(record).__name__)
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 def test_read_only_records(record):
-    field = next(iter(vars(record)))
-    with pytest.raises(AttributeError):
-        setattr(record, field, 0)
-    with pytest.raises(AttributeError):
-        delattr(record, field)
-    hash(record)
+    for field in vars(record):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    if not isinstance(record, EquivalenceClass):  # its witnesses dict is unhashable
+        hash(record)
 
 
-def test_equivalence_class_is_mutable():
-    s = BinarySequence.from_string("0110")
-    (cls,) = classify({"a": s})
-    cls.members += ("b",)
-    assert cls.members == ("a", "b")
-    with pytest.raises(TypeError):
-        hash(cls)
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_pickle_and_copy_equal(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record
+        assert vars(twin) == vars(record)
+
+
+def test_classify_builds_each_class_once():
+    assert [cls.representative for cls in CLASSES] == ["s10", "s12", "s5", "s6"]
+    for cls in CLASSES:
+        assert cls.members == tuple(cls.witnesses)
+        assert cls.members[0] == cls.representative
+        assert cls.witnesses[cls.representative] == AffineWitness(1, 0)
+    with pytest.raises(AttributeError):
+        CLASSES[0].members += ("s0",)
+    assert "s0" not in CLASSES[0].members
+
+
+def test_a_record_keeps_the_dunders_its_class_defines():
+    assert repr(BinarySequence.from_string("0110")) == "BinarySequence('0110')"
+    multiset = ValueMultiset([1, -3, 1, 4])
+    assert repr(multiset) == "ValueMultiset({* -3, 1^2, 4 *})"
+    assert hash(multiset) == hash(((-3, 1), (1, 2), (4, 1)))
+    assert multiset == ValueMultiset([4, 1, -3, 1]) != ValueMultiset([1, -3, 4])
+    assert BinarySequence(6, 4) != BinarySequence(6, 3) and SEQUENCE != "0110"
 
 
 def test_verification_report_rebuilds_from_its_fields():

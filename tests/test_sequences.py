@@ -65,6 +65,9 @@ class TestBinarySequence:
         assert BinarySequence.from_bits([1, 0, 1]) == seq("101")
         with pytest.raises(ValueError):
             BinarySequence.from_bits([0, 2])
+        for bit in (1.0, Fraction(1), 1 + 0j):
+            with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+                BinarySequence.from_bits([0, bit])
 
     def test_word_validation(self):
         with pytest.raises(ValueError):
@@ -348,15 +351,12 @@ def _parse_outcome(parse, text):
 
 def _bits_outcome(build, bits):
     # (word, period) of the sequence built from one pass over ``bits``, or
-    # the error: a ValueError with its message, a TypeError (a non-integer
-    # bit equal to 0 or 1, such as 1.0) by its type alone, since the
-    # operation that rejects it differs
+    # the ValueError's message; every bad bit, a non-integer equal to 0 or 1
+    # such as 1.0 included, raises ValueError
     try:
         s = build(iter(bits))
     except ValueError as exc:
         return ValueError, str(exc)
-    except TypeError:
-        return TypeError
     return s.word, s.period
 
 
