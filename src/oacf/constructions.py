@@ -6,10 +6,11 @@ gamma) by complement rules, mapped through the CRT isomorphism to Z_{8p},
 and read off as a characteristic sequence u of period 8p.
 
 ``construct_in`` reads that support set through one code per residue z,
-5*(z mod 8) + k with k the class of z mod p (4 for 0), and one 256-byte
-table per construction; ``build_support`` in ``tests/oracle.py`` states it
-literally.  Every table gives the cells (n, k) and (n + 4, k) of z and z + 4p
-opposite bits, so u = s || (s + 1) at every prime, s the first 4p codes.
+5*(z mod 8) + k with k = class_of[z mod p] from the system's class table,
+and one 256-byte table per construction; ``build_support`` in
+``tests/oracle.py`` states it literally.  Every table gives the cells
+(n, k) and (n + 4, k) of z and z + 4p opposite bits, so u = s || (s + 1)
+at every prime, s the first 4p codes.
 
 ``verify_table`` checks the distinct OACF values of s, read from one shift
 per cyclotomic orbit, against the family's symbolic value set instantiated
@@ -154,18 +155,19 @@ def _code_table(spec: ConstructionSpec) -> bytes:
 _CODE_TABLES = tuple(_code_table(spec) for spec in CONSTRUCTIONS)
 
 
-def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, BinarySequence]:
-    """(s, u) for construction ``index`` over an already-built system."""
+def _construct_s(system: CyclotomicSystem, index: int) -> BinarySequence:
+    # s alone, for the callers that never read u
     _check_parity(construction_spec(index), system)
     p = system.p
-    cls = bytearray([4]) * p
-    for k, members in enumerate(system.classes):
-        for a in members:
-            cls[a] = k
-    # byte z < 4p is 5*(z mod 8) + cls[z mod p] <= 39, so the two addends never carry
+    # byte z < 4p is 5*(z mod 8) + class_of[z mod p] <= 39, so the two addends never carry
     residues = (bytes(range(0, 40, 5)) * p)[: 4 * p]
-    codes = int.from_bytes(residues, "little") + int.from_bytes(cls * 4, "little")
-    s = _from_text(codes.to_bytes(4 * p, "little").translate(_CODE_TABLES[index - 1]))
+    codes = int.from_bytes(residues, "little") + int.from_bytes(system.class_of * 4, "little")
+    return _from_text(codes.to_bytes(4 * p, "little").translate(_CODE_TABLES[index - 1]))
+
+
+def construct_in(system: CyclotomicSystem, index: int) -> tuple[BinarySequence, BinarySequence]:
+    """(s, u) for construction ``index`` over an already-built system."""
+    s = _construct_s(system, index)
     return s, parker_double(s)
 
 
@@ -222,7 +224,7 @@ def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationRe
     """
     system = build_system(p, alpha)
     spec = construction_spec(index)
-    s, _ = construct_in(system, index)
+    s = _construct_s(system, index)
     eta, _ = crt_iso(p)
     a = system.alpha
     n = s.period

@@ -13,7 +13,7 @@ and the witness search space d in Z*_{2N}, t in Z_{2N} is complete.
 
 import math
 
-from .constructions import construct_in, crt_iso
+from .constructions import _construct_s, crt_iso
 from .cyclotomy import build_system
 from .sequences import (
     BinarySequence,
@@ -226,13 +226,13 @@ def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
 
     Rows 1-2 run at ``p_even_f`` (constructions 1-4 need f even), rows 3-8
     at ``p_odd_f``, each with the smallest primitive root of its prime; a
-    prime of the other f parity raises ``construct_in``'s
+    prime of the other f parity raises the construction's
     ConstructionInapplicableError.
     """
     systems = {False: build_system(p_even_f), True: build_system(p_odd_f)}
     # all sixteen are built first, so that a prime of the wrong f parity
     # raises before any check or search
-    built = {i: construct_in(systems[i > 4], i)[0] for i in range(1, 17)}
+    built = {i: _construct_s(systems[i > 4], i) for i in range(1, 17)}
     rows = []
     for row, i_src, i_tgt, exponent, negate_first in TABLE4_RELATIONS:
         system, source, target = systems[i_src > 4], built[i_src], built[i_tgt]

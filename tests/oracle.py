@@ -6,6 +6,7 @@ paths can be checked against each other.  The rest are the package's former
 implementations, kept as differential oracles of the faster ones:
 ``from_string_reference`` is the per-character parser,
 ``from_bits_reference`` the per-bit OR of ``from_bits``,
+``classes_reference`` the per-residue set loop of ``build_system``,
 ``_decimate_word`` the per-bit decimation loop,
 ``build_support`` the literal support set of a construction, with
 ``characteristic_reference`` its per-residue construction word, and
@@ -142,11 +143,24 @@ class CSet:
     members: frozenset[int]
 
 
+def classes_reference(p: int, alpha: int) -> tuple[frozenset[int], ...]:
+    """The classes D_0..D_3 of Z_p \\ {0}, one set insertion per power of
+    alpha; alpha must be a primitive root mod p."""
+    members: list[set[int]] = [set(), set(), set(), set()]
+    val = 1
+    for e in range(p - 1):
+        members[e % 4].add(val)
+        val = val * alpha % p
+    return tuple(frozenset(m) for m in members)
+
+
 def cset(system: CyclotomicSystem, index: int) -> CSet:
+    """C_index of ``system``, from the reference classes rather than its table."""
     if index not in CSET_PAIRS:
         raise ValueError(f"C-set index must be in [1, 6], got {index}")
     j, k = CSET_PAIRS[index]
-    return CSet(index, system.classes[j] | system.classes[k])
+    classes = classes_reference(system.p, system.alpha)
+    return CSet(index, classes[j] | classes[k])
 
 
 def expand_gamma(gamma, system: CyclotomicSystem) -> tuple[frozenset[int], ...]:

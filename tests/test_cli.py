@@ -266,9 +266,9 @@ class TestVerifyCommand:
 
     def test_failed_row(self, capsys, monkeypatch):
         # row 9 built as construction 5, whose values miss row 9's template
-        construct_in = oacf.constructions.construct_in
-        monkeypatch.setattr(oacf.constructions, "construct_in",
-                            lambda system, index: construct_in(system, 5 if index == 9 else index))
+        construct_s = oacf.constructions._construct_s
+        monkeypatch.setattr(oacf.constructions, "_construct_s",
+                            lambda system, index: construct_s(system, 5 if index == 9 else index))
         computed, expected = [-10, -4, -2, 0, 2, 4, 10], [-12, -4, -2, 0, 2, 4, 12]
         code, out, _ = run_cli(capsys, "verify", "--tables", "--primes", "13")
         assert code == 4

@@ -12,7 +12,7 @@ from oacf import (
     smallest_primitive_root,
 )
 
-from oracle import cset
+from oracle import classes_reference, cset
 
 
 def primes_1_mod_4(limit):
@@ -76,13 +76,19 @@ class TestPrimitiveRoot:
 
         for p in range(3, 2000):
             if is_prime(p):
-                assert smallest_primitive_root(p) == next(
-                    g for g in range(2, p) if order(g, p) == p - 1), p
+                root = next(g for g in range(2, p) if order(g, p) == p - 1)
+                assert smallest_primitive_root(p) == root, p
+                # root^k has order (p - 1) / gcd(k, p - 1), so it generates iff k is a unit
+                assert not is_primitive_root(0, p) and not is_primitive_root(p, p)
+                power = 1
+                for k in range(p - 1):
+                    assert is_primitive_root(power, p) == (math.gcd(k, p - 1) == 1), (p, power)
+                    power = power * root % p
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be a prime >= 3, got 2$"):
             smallest_primitive_root(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be a prime >= 3, got 15$"):
             smallest_primitive_root(15)
 
 
@@ -141,8 +147,9 @@ class TestSystem:
         sys13 = build_system(13, alpha=6)  # 6 is also a generator mod 13
         assert sys13.alpha == 6
         assert sys13.classes[0] == frozenset({1, 9, 3})  # 6^0, 6^4, 6^8
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^3 is not a primitive root mod 13$"):
             build_system(13, alpha=3)  # 3 has order 3
+        assert build_system(13, alpha=19) == build_system(13, alpha=6)  # 19 = 6 mod 13
 
     def test_p_above_limit_fails_fast(self):
         # the guard runs before the trial division and the class sets
@@ -153,6 +160,29 @@ class TestSystem:
         assert is_primitive_root(2, 13)
         assert not is_primitive_root(3, 13)
         assert not is_primitive_root(13, 13)
+
+
+class TestClassTable:
+    def check(self, system):
+        reference = classes_reference(system.p, system.alpha)
+        assert system.classes == reference
+        table = system.class_of
+        assert len(table) == system.p and table[0] == 4
+        assert all(table[a] == k for k, members in enumerate(reference) for a in members)
+        assert [table.count(k) for k in range(5)] == [system.f] * 4 + [1]
+
+    def test_every_prime_below_2000(self):
+        primes = primes_1_mod_4(2000)
+        assert primes[0] == 5  # f = 1
+        for p in primes:
+            self.check(build_system(p))
+
+    @pytest.mark.parametrize("p", [13, 29, 37])
+    def test_every_primitive_root(self, p):
+        roots = [g for g in range(2, p) if is_primitive_root(g, p)]
+        assert len(roots) == len([k for k in range(1, p) if math.gcd(k, p - 1) == 1])
+        for alpha in roots:
+            self.check(build_system(p, alpha))
 
 
 class TestCSets:

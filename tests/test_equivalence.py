@@ -546,7 +546,7 @@ class TestTable4:
         assert nega_decimate(s9, d) == s12
 
     def test_parity_validation(self):
-        # construct_in's parity check, a ValueError, names the construction
+        # the construction's parity check, a ValueError, names the construction
         with pytest.raises(ValueError, match=re.escape("construction 1 requires f even (p=13 has f=3)")):
             verify_table4(13, 13)
         with pytest.raises(ValueError, match=re.escape("construction 5 requires f odd (p=17 has f=4)")):

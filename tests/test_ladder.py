@@ -1,5 +1,6 @@
-"""Smoke run of the kernel ladder (``ladder_kernels.py``) at its smallest
-rung. Times are only checked to be positive; the work counts are exact."""
+"""Smoke runs of the kernel ladder (``ladder_kernels.py``) at its smallest
+rung and of the construction ladder (``ladder_constructions.py``) at p = 13.
+Times are only checked to be positive; the work counts are exact."""
 
 import json
 import subprocess
@@ -31,3 +32,21 @@ def test_ladder_smoke_run_at_the_smallest_rung(tmp_path):
     for kind in ("decimate", "nega_decimate", "apply_witness"):
         assert 1 <= rung[kind]["columns"] <= rung[kind]["slices"] <= 64
     assert all(value["ms"] > 0 for key, value in rung.items() if key != "n")
+
+
+def test_construction_ladder_smoke_run_at_p13(tmp_path):
+    out = tmp_path / "ladder.json"
+    script = ROOT / "ladder_constructions.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--primes", "13", "--repeat", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    (rung,) = json.loads(out.read_text())["rungs"]
+    assert (rung["p"], rung["index"]) == (13, 5)  # f = 3 is odd
+    assert rung["build_system"]["powers"] == 12 and rung["build_system"]["candidates"] == 1
+    assert rung["construct_in"]["codes"] == rung["verify_table"]["codes"] == 52
+    assert rung["construct_in"]["bits"] == 104
+    # one shift per cyclotomic orbit: eta(k, a) for k < 4 and five residues a, less 0
+    assert rung["verify_table"]["shifts"] == 19
+    assert all(rung[layer]["ms"] > 0 for layer in ("build_system", "construct_in", "verify_table"))
