@@ -221,10 +221,11 @@ def _cmd_verify(args):
     if run_tables:
         rows = []
         for p in usable:
+            system = build_system(p, args.alpha)
             for index in range(1, 17):
                 if not is_applicable(index, p):
                     continue
-                row = vars(verify_table(index, p, args.alpha))
+                row = vars(verify_table(index, system))
                 rows.append(row)
                 lines.append(_table_line(row))
         passed = sum(row["matched"] for row in rows)

@@ -207,9 +207,13 @@ def _instantiate(terms, x: int, y: int) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
-def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationReport:
+def verify_table(index: int, p: int | CyclotomicSystem, alpha: int | None = None) -> VerificationReport:
     """Compare the distinct OACF values of construction ``index`` at p with
     the row's symbolic value set, under either sign of y.
+
+    ``p`` is a prime, whose system is built with generator ``alpha``, or an
+    already-built ``CyclotomicSystem``, whose own generator is used, so
+    that the rows of one prime can share one build.
 
     ``computed`` is read from one shift per cyclotomic orbit, 19 in all.
     Multiplication by (1, alpha^4) maps each cell (n, {0}) and (n, D_k) of
@@ -222,7 +226,13 @@ def verify_table(index: int, p: int, alpha: int | None = None) -> VerificationRe
     4p, which negates the value; so their values, closed under negation,
     are the values at every tau in [1, 4p).
     """
-    system = build_system(p, alpha)
+    if isinstance(p, CyclotomicSystem):
+        if alpha is not None:
+            raise ValueError("alpha applies to a prime, not to a built system")
+        system = p
+    else:
+        system = build_system(p, alpha)
+    p = system.p
     spec = construction_spec(index)
     s = _construct_s(system, index)
     eta, _ = crt_iso(p)

@@ -73,9 +73,12 @@ def _check_periods(s: BinarySequence, s_prime: BinarySequence) -> None:
 
 
 def _key(profile: list[int]) -> tuple[int, ...]:
-    """Sorted |OACF| values: equal for every sequence in one class, since a
-    witness permutes Z_{2N} and OACF(tau + N) = -OACF(tau)."""
-    return tuple(sorted(map(abs, profile)))
+    """Sorted |OACF(tau)| for 1 <= tau < N/2: equal for every sequence in one
+    class, since a witness permutes Z_{2N} and OACF(tau + N) = -OACF(tau).
+    Keys are compared at one N only, where OACF(N - tau) = -OACF(tau),
+    OACF(0) = N and, for even N, OACF(N/2) = 0 give the other half, so this
+    half decides the sorted |OACF| values over all of [0, N)."""
+    return tuple(sorted(map(abs, profile[1 : (len(profile) + 1) // 2])))
 
 
 def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness | None:

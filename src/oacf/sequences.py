@@ -85,10 +85,15 @@ def _record(order: bool = False):
     def decorate(cls):
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         key = attrgetter(*fields)
+        field_set = frozenset(fields)
 
         def __init__(self, *args, **kwargs):
-            given = dict(zip(fields, args), **kwargs)
-            if len(args) + len(kwargs) != len(fields) or given.keys() != set(fields):
+            if not kwargs and len(args) == len(fields):
+                self.__dict__.update(zip(fields, args))
+                return
+            # only a call that mixes positions and keywords builds a merged dict
+            given = dict(zip(fields, args), **kwargs) if args else kwargs
+            if len(args) + len(kwargs) != len(fields) or given.keys() != field_set:
                 raise TypeError(f"{cls.__name__}() takes exactly the fields {', '.join(fields)}")
             self.__dict__.update({name: given[name] for name in fields})
 

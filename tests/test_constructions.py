@@ -292,6 +292,46 @@ class TestVerifyTable:
         assert gathers == []
         assert shift_counts == [19] * 12
 
+    def test_a_built_system_gives_the_prime_s_report(self):
+        primes = [p for p in range(5, 401) if is_prime(p) and p % 4 == 1]
+        for p in primes:
+            system = build_system(p)
+            for index in range(1, 17):
+                if is_applicable(index, p):
+                    assert verify_table(index, system) == verify_table(index, p), (index, p)
+        for p in (13, 29, 37):
+            # the second generator, so the system's own alpha must be read
+            alpha = [g for g in range(2, p) if is_primitive_root(g, p)][1]
+            system = build_system(p, alpha)
+            for index in range(5, 17):
+                assert verify_table(index, system) == verify_table(index, p, alpha), (index, p, alpha)
+
+    def test_a_built_system_takes_no_alpha(self):
+        with pytest.raises(ValueError, match="built system"):
+            verify_table(9, build_system(13), 6)
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["--primes", "13,17,29"], [(13, None), (17, None), (29, None)]),
+        (["--primes", "13", "--alpha", "6"], [(13, 6)]),
+    ])
+    def test_verify_tables_builds_each_prime_once(self, argv, builds, capsys, monkeypatch):
+        import oacf.cli
+        import oacf.constructions
+
+        calls = []
+
+        def counting(build):
+            def build_system(p, alpha=None):
+                calls.append((p, alpha))
+                return build(p, alpha)
+            return build_system
+
+        for module in (oacf.cli, oacf.constructions):
+            monkeypatch.setattr(module, "build_system", counting(module.build_system))
+        assert main(["verify", "--tables", *argv]) == 0
+        assert capsys.readouterr().out.endswith("verify: PASS\n")
+        assert calls == builds
+
     def test_oacf_profile_antisymmetry_on_construction(self):
         s, _ = construct(2, 17)
         profile = oacf_profile(s).values

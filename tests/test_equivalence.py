@@ -281,6 +281,27 @@ class TestPrunedSearch:
         assert same_key(family["s06"], family["s09"])
         assert oacf_equivalent(family["s06"], family["s09"]) is None
 
+    def test_half_key_agrees_with_the_full_sorted_key(self):
+        # the key reads |OACF| on 1 <= tau < N/2 only; at one N it must be
+        # equal exactly when the sorted |OACF| values over all of [0, N) are
+        def full_key(profile):
+            return sorted(map(abs, profile))
+
+        rng = random.Random(47)
+        outcomes = set()
+        for n in range(1, 81):
+            pairs = [(random_sequence(rng, n), random_sequence(rng, n)) for _ in range(12)]
+            for _ in range(4):
+                s = random_sequence(rng, n)
+                w = AffineWitness(random_unit(rng, 2 * n), rng.randrange(2 * n))
+                pairs.append((s, apply_witness(w, s)))
+            for a, b in pairs:
+                pa, pb = _correlations(a, -1), _correlations(b, -1)
+                equal = _key(pa) == _key(pb)
+                assert equal == (full_key(pa) == full_key(pb)), (a, b)
+                outcomes.add((n > 8, equal))
+        assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
+
     def test_smallest_t_among_several_matches(self):
         # three rotations match for d = 5, at t = 11, 3, 19 in rotation
         # order; the contract asks for the smallest t

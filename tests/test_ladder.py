@@ -45,8 +45,12 @@ def test_construction_ladder_smoke_run_at_p13(tmp_path):
     (rung,) = json.loads(out.read_text())["rungs"]
     assert (rung["p"], rung["index"]) == (13, 5)  # f = 3 is odd
     assert rung["build_system"]["powers"] == 12 and rung["build_system"]["candidates"] == 1
-    assert rung["construct_in"]["codes"] == rung["verify_table"]["codes"] == 52
+    rows = ("verify_table", "verify_table.shared")
+    assert rung["construct_in"]["codes"] == 52
     assert rung["construct_in"]["bits"] == 104
-    # one shift per cyclotomic orbit: eta(k, a) for k < 4 and five residues a, less 0
-    assert rung["verify_table"]["shifts"] == 19
-    assert all(rung[layer]["ms"] > 0 for layer in ("build_system", "construct_in", "verify_table"))
+    for row in rows:
+        # one shift per cyclotomic orbit: eta(k, a) for k < 4 and five residues a, less 0
+        assert rung[row]["codes"] == 52 and rung[row]["shifts"] == 19
+    # verify --tables builds the system of p = 13 once for its 12 rows
+    assert rung["verify_tables"] == {"rows": 12, "builds": 1}
+    assert all(rung[layer]["ms"] > 0 for layer in ("build_system", "construct_in", *rows))

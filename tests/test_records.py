@@ -98,11 +98,18 @@ class TestAffineWitness:
     def test_repr(self):
         assert repr(AffineWitness(3, 4)) == "AffineWitness(d=3, t=4)"
 
-    @pytest.mark.parametrize("args, kwargs", [((1,), {}), ((1, 2, 3), {}), ((1,), {"d": 2}),
-                                              ((1,), {"u": 2})])
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1,), {}), ((1, 2, 3), {}), ((1,), {"d": 2}), ((1,), {"u": 2}),  # mixed and positional
+        ((), {"d": 1}), ((), {"d": 1, "t": 2, "u": 3}), ((), {"d": 1, "u": 2}),  # by keyword
+        ((1, 2), {"d": 1}), ((1, 2), {"u": 3}),  # a full positional set and one keyword more
+    ])
     def test_wrong_fields_rejected(self, args, kwargs):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^AffineWitness\(\) takes exactly the fields d, t$"):
             AffineWitness(*args, **kwargs)
+
+    @pytest.mark.parametrize("args, kwargs", [((3, 4), {}), ((3,), {"t": 4}), ((), {"t": 4, "d": 3})])
+    def test_fields_are_stored_in_order(self, args, kwargs):
+        assert list(vars(AffineWitness(*args, **kwargs)).items()) == [("d", 3), ("t", 4)]
 
 
 TABLE4 = verify_table4(17, 13)
