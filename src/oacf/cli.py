@@ -11,7 +11,9 @@ inapplicable, 4 verification failure or no witness found.
 """
 
 import argparse
+import functools
 import itertools
+import shutil
 import sys
 from importlib import import_module
 
@@ -218,10 +220,11 @@ def _cmd_verify(args):
     payload: dict = {"skipped": [n.removeprefix("notice: ") for n in notices]}
     ok = True
 
+    systems = {}  # p -> its system, which Table 4 reuses
     if run_tables:
         rows = []
         for p in usable:
-            system = build_system(p, args.alpha)
+            system = systems[p] = build_system(p, args.alpha)
             for index in range(1, 17):
                 if not is_applicable(index, p):
                     continue
@@ -245,7 +248,7 @@ def _cmd_verify(args):
             payload["table4"] = None
         else:
             _load("equivalence")
-            report = verify_table4(p_even, p_odd)
+            report = verify_table4(systems.get(p_even, p_even), systems.get(p_odd, p_odd))
             rows = [_table4_row(row) for row in report.rows]
             lines.extend(map(_table4_line, rows))
             confirmed = sum(row["pass"] for row in rows)
@@ -388,15 +391,23 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     subcommand's own parser, which reads the words after its name; with no
     command, the top level with all six names as bare entries, for its help
     and its first-word errors.  It is built on every call; one built once per
-    process waits on the benchmark's replay log (ROADMAP item 6)."""
+    process waits on the benchmark's replay log (ROADMAP item 6).
+
+    The terminal is read once per build: the parser formats with the width
+    that argparse's default formatter would read, the columns of
+    ``shutil.get_terminal_size()`` less 2, so that the formatters made by
+    each ``add_argument``, the help and the usage do not read it again."""
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     if command:
-        parser = argparse.ArgumentParser(prog=f"oacf {command}")
+        parser = argparse.ArgumentParser(prog=f"oacf {command}", formatter_class=formatter)
         parser.add_argument("--json", action="store_true", help="emit a JSON document")
         for flags, keywords in _COMMANDS[command][2]:
             parser.add_argument(*flags, **keywords)
         return parser
     parser = argparse.ArgumentParser(
-        prog="oacf", description="Odd-periodic autocorrelation toolkit for binary sequences.")
+        prog="oacf", description="Odd-periodic autocorrelation toolkit for binary sequences.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(prog="oacf", metavar="{" + ",".join(_COMMANDS) + "}")
     for name, (_, summary, _) in _COMMANDS.items():
         sub.add_parser(name, help=summary, add_help=False)

@@ -14,7 +14,7 @@ and the witness search space d in Z*_{2N}, t in Z_{2N} is complete.
 import math
 
 from .constructions import _construct_s, crt_iso
-from .cyclotomy import build_system
+from .cyclotomy import CyclotomicSystem, build_system, smallest_primitive_root
 from .sequences import (
     BinarySequence,
     _correlations,
@@ -102,17 +102,25 @@ def oacf_equivalent(s: BinarySequence, s_prime: BinarySequence) -> AffineWitness
         return None
     pu += [-value for value in pu]  # OACF_s on all of Z_{2N}
     haystack = str(parker_double(s)) * 2
-    for d in range(1, two_n, 2):
+    # the shift tau = 1 asks OACF_s(d) = OACF_{s'}(1): list.index finds the
+    # d that pass it in ascending order; N = 1 has no such shift, and its
+    # one unit d = 1 is found as pu[1] itself
+    first = pv[1] if n > 1 else pu[1]
+    d = 0
+    while True:
+        try:
+            d = pu.index(first, d + 1)
+        except ValueError:
+            return None
         if math.gcd(d, two_n) != 1:
             continue
-        for tau in range(1, n):
+        for tau in range(2, n):
             if pv[tau] != pu[d * tau % two_n]:
                 break
         else:
             t = haystack.find(str(nega_decimate(s_prime, pow(d, -1, two_n))))
             if t >= 0:
                 return AffineWitness(d, t)
-    return None
 
 
 def reachable_without_negadecimation(s: BinarySequence, s_prime: BinarySequence) -> bool:
@@ -223,16 +231,27 @@ class Table4Report:
         return all(row.passed for row in self.rows)
 
 
-def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
+def _table4_system(p: int | CyclotomicSystem) -> CyclotomicSystem:
+    if not isinstance(p, CyclotomicSystem):
+        return build_system(p)
+    root = smallest_primitive_root(p.p)
+    if p.alpha != root:
+        raise ValueError(f"Table 4 uses the smallest primitive root of {p.p}, {root}, not {p.alpha}")
+    return p
+
+
+def verify_table4(p_even_f: int | CyclotomicSystem, p_odd_f: int | CyclotomicSystem) -> Table4Report:
     """Check the eight explicit pairing relations among the sixteen
     constructions, plus a generic witness search per pair.
 
     Rows 1-2 run at ``p_even_f`` (constructions 1-4 need f even), rows 3-8
     at ``p_odd_f``, each with the smallest primitive root of its prime; a
     prime of the other f parity raises the construction's
-    ConstructionInapplicableError.
+    ConstructionInapplicableError.  Either prime may be given as its built
+    ``CyclotomicSystem``, which must have that generator (else ValueError),
+    so that a caller that has built it already need not build it again.
     """
-    systems = {False: build_system(p_even_f), True: build_system(p_odd_f)}
+    systems = {False: _table4_system(p_even_f), True: _table4_system(p_odd_f)}
     # all sixteen are built first, so that a prime of the wrong f parity
     # raises before any check or search
     built = {i: _construct_s(systems[i > 4], i) for i in range(1, 17)}
@@ -258,4 +277,4 @@ def verify_table4(p_even_f: int, p_odd_f: int) -> Table4Report:
                 witness=oacf_equivalent(source, target),
             )
         )
-    return Table4Report(p_even_f, p_odd_f, tuple(rows))
+    return Table4Report(systems[False].p, systems[True].p, tuple(rows))

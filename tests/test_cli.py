@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -547,9 +548,11 @@ def test_no_option_value_leaks_into_the_next_call(capsys):
 def test_argument_count_per_call(capsys, monkeypatch):
     # only the parser of the subcommand that argv's first word names is
     # built, with its -h and its arguments; any other argv builds the help
-    # listing: the top level with its -h, and the six names as bare parsers
-    calls, parsers = [], []
+    # listing: the top level with its -h, and the six names as bare parsers.
+    # Every call, an error's included, reads the terminal's size once.
+    calls, parsers, queries = [], [], []
     real_add, real_init = argparse._ActionsContainer.add_argument, argparse.ArgumentParser.__init__
+    real_size = shutil.get_terminal_size
 
     def counting(self, *args, **kwargs):
         calls.append(args)
@@ -559,22 +562,30 @@ def test_argument_count_per_call(capsys, monkeypatch):
         parsers.append(args)
         real_init(self, *args, **kwargs)
 
+    def querying(*args, **kwargs):
+        queries.append(args)
+        return real_size(*args, **kwargs)
+
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", constructing)
+    monkeypatch.setattr(shutil, "get_terminal_size", querying)
     named = (1, 1)  # the subcommand's -h and its parser, and no top level
     listing = (1, 7)  # the top level's -h; it and the six bare names are parsers
     for argv, code, count, (helps, built) in [
         (("oacf", "0110"), 0, 5, named), (("apply", "negate", "0110"), 0, 5, named),
         (("construct", "5", "13"), 0, 6, named), (("verify", "--primes", "13"), 0, 6, named),
         (("classify", "0110"), 0, 5, named), (("equiv", "0110", "1001"), 0, 5, named),
+        (("verify", "--help"), 0, 6, named), (("equiv", "0110", "--bogus"), 2, 5, named),
+        (("verify", "-hx"), 2, 6, named), (("apply", "shift", "0110"), 2, 5, named),
         (("-h",), 0, 1, listing), ((), 2, 1, listing),
         (("--json", "equiv", "0110", "1001"), 2, 1, listing), (("-h", "verify"), 0, 1, listing),
     ]:
         calls.clear()
         parsers.clear()
+        queries.clear()
         assert run_cli(capsys, *argv)[0] == code
-        counts = (len(calls), sum(args[:1] == ("-h",) for args in calls), len(parsers))
-        assert counts == (count, helps, built), argv
+        counts = (len(calls), sum(args[:1] == ("-h",) for args in calls), len(parsers), len(queries))
+        assert counts == (count, helps, built, 1), argv
 
 
 _USAGE = "usage: oacf [-h] {oacf,apply,construct,verify,classify,equiv} ...\n"

@@ -311,12 +311,17 @@ class TestVerifyTable:
             verify_table(9, build_system(13), 6)
 
     @pytest.mark.parametrize("argv, builds", [
-        (["--primes", "13,17,29"], [(13, None), (17, None), (29, None)]),
-        (["--primes", "13", "--alpha", "6"], [(13, 6)]),
+        (["--tables", "--primes", "13,17,29"], [(13, None), (17, None), (29, None)]),
+        (["--tables", "--primes", "13", "--alpha", "6"], [(13, 6)]),
+        # the pairing check reuses the systems of 17 and 5, or of 17 and 13
+        ([], [(17, None), (41, None), (5, None), (13, None), (29, None), (37, None)]),
+        (["--primes", "13,17"], [(13, None), (17, None)]),
+        (["--table4"], [(17, None), (5, None)]),
     ])
     def test_verify_tables_builds_each_prime_once(self, argv, builds, capsys, monkeypatch):
         import oacf.cli
         import oacf.constructions
+        import oacf.equivalence
 
         calls = []
 
@@ -326,9 +331,9 @@ class TestVerifyTable:
                 return build(p, alpha)
             return build_system
 
-        for module in (oacf.cli, oacf.constructions):
+        for module in (oacf.cli, oacf.constructions, oacf.equivalence):
             monkeypatch.setattr(module, "build_system", counting(module.build_system))
-        assert main(["verify", "--tables", *argv]) == 0
+        assert main(["verify", *argv]) == 0
         assert capsys.readouterr().out.endswith("verify: PASS\n")
         assert calls == builds
 

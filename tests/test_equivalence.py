@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -236,6 +237,29 @@ class TestPrunedSearch:
         for a, b in pairs:
             assert oacf_equivalent(a, b) is None
             assert oracle.oacf_equivalent_reference(a, b) is None
+
+    def test_unit_screen_keeps_the_first_middle_and_last_unit(self):
+        # list.index screens the units at tau = 1; a hit whose witness has
+        # d = 1, the middle unit or d = 2N - 1 checks its first, middle and
+        # last candidate, and N = 1 its single unit
+        rng = random.Random(53)
+        for n in range(1, 65):
+            units = [d for d in range(1, 2 * n, 2) if math.gcd(d, 2 * n) == 1]
+            for d in (1, units[len(units) // 2], 2 * n - 1):
+                s = random_sequence(rng, n)
+                target = apply_witness(AffineWitness(d, rng.randrange(2 * n)), s)
+                found = as_pair(oacf_equivalent(s, target))
+                assert found == oracle.oacf_equivalent_reference(s, target), (n, d)
+                assert found[0] <= d
+
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_unit_screen_on_the_constructions_5_to_16(self, p):
+        # few distinct OACF values, so most units pass the screen
+        family = [s for label, s in sorted(parker_family(p).items()) if label >= "s05"]
+        assert len(family) == 12
+        for a in family:
+            for b in family:
+                assert as_pair(oacf_equivalent(a, b)) == oracle.oacf_equivalent_reference(a, b)
 
     def test_profile_lemma(self):
         # a witness (d, t) forces PACF_v(tau) = PACF_u(d*tau mod 2N) for
@@ -587,6 +611,20 @@ class TestTable4:
     def test_works_at_other_primes(self):
         assert verify_table4(17, 5).all_passed
         assert verify_table4(41, 29).all_passed
+
+    @pytest.mark.parametrize("p_even, p_odd", [(17, 13), (41, 29), (17, 5)])
+    def test_built_systems_give_the_primes_report(self, p_even, p_odd):
+        report = verify_table4(p_even, p_odd)
+        assert verify_table4(build_system(p_even), build_system(p_odd)) == report
+        assert verify_table4(build_system(p_even), p_odd) == report
+        assert verify_table4(p_even, build_system(p_odd)) == report
+
+    def test_a_system_of_another_generator_is_rejected(self):
+        # 6 generates Z*_13 too, but Table 4 reads each prime's smallest root
+        with pytest.raises(ValueError, match="^Table 4 uses the smallest primitive root of 13, 2, not 6$"):
+            verify_table4(17, build_system(13, 6))
+        with pytest.raises(ValueError, match="^Table 4 uses the smallest primitive root of 17, 3, not 5$"):
+            verify_table4(build_system(17, 5), 13)
 
     def test_report_serialization(self, capsys):
         report = verify_table4(17, 13)
